@@ -41,7 +41,8 @@ def curve_line(label: str, xs, ys, fmt: str = "{:.2f}") -> str:
     spark = sparkline(ys)
     return (
         f"{label:<24s} {spark}  "
-        f"[{fmt.format(ys[0])} → {fmt.format(ys[-1])}] over x={list(np.round(xs, 2))}"
+        f"[{fmt.format(ys[0])} → {fmt.format(ys[-1])}] "
+        f"over x={[float(x) for x in np.round(xs, 2)]}"
     )
 
 

@@ -1,5 +1,10 @@
 """Compile a traced :class:`~repro.infer.trace.TrainGraph` into a gradient plan.
 
+:class:`GradPlan` is the training front end of the plan runtime: it fuses
+the forward, derives the backward and binds the live model state, then
+hands nodes, roots and kernel table to :class:`~repro.infer.plan.Program`,
+which schedules and runs them exactly as it does eval plans.
+
 The backward pass is *derived*, not traced: :func:`_derive_backward` replays
 ``Tensor.backward``'s depth-first walk over the traced forward graph and, for
 every op, emits kernel nodes computing exactly the arithmetic of the op's
@@ -31,11 +36,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.functional import _col2im, _im2col
-from repro.infer.plan import KERNELS, CompileError, _k_conv2d, _k_conv2d_exact
-from repro.infer.trace import Node, TrainGraph
+from repro.infer.plan import (
+    EXACT_KERNELS,
+    KERNELS,
+    CompileError,
+    Program,
+    _depends_on,
+    _k_conv2d,
+    _norm_axis,
+    _toposort,
+)
+from repro.infer.trace import LEAF_OPS, Node, TrainGraph
 from repro.nn.module import Module
-
-_LEAF_OPS = ("input", "param", "buffer", "value", "label")
 
 # ----------------------------------------------------------- forward kernels
 # Training-mode ops the eval table does not have.  Tuple-valued kernels
@@ -128,10 +140,6 @@ def _k_cross_entropy_bwd(args, params):
     return grad * (g / n)
 
 
-def _k_tuple_get(args, params):
-    return args[0][params["index"]]
-
-
 # ---------------------------------------------------------- backward kernels
 # Each replicates the corresponding autograd backward closure's arithmetic
 # expression for expression (same operand order, same intermediate shapes).
@@ -146,10 +154,6 @@ def _k_unbroadcast(args, params):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
-
-
-def _k_add_acc(args, params):
-    return args[0] + args[1]
 
 
 def _k_relu_bwd(args, params):
@@ -196,14 +200,6 @@ def _k_maximum_bwd_b(args, params):
 def _k_clip_bwd(args, params):
     g, a = args
     return g * ((a >= params["low"]) & (a <= params["high"]))
-
-
-def _norm_axis(axis, ndim):
-    if axis is None:
-        return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
 
 
 def _k_sum_bwd(args, params):
@@ -467,11 +463,7 @@ def _k_conv_bwd_b_exact(args, params):
     return g.transpose(0, 2, 3, 1).reshape(-1, f).sum(axis=0)
 
 
-# ----------------------------------------------------- fused conv → BN → ReLU
-# Fast mode only.  The fused tuple keeps the bn_train layout
-# (out, xhat, invstd, mean, var) so the tracer's running-stat tuple_gets
-# (indices 3/4) stay valid when the fusion pass replaces the bn node in
-# place; ``out`` is post-ReLU.
+# ------------------------------------------------- fast BatchNorm train
 
 
 def _chan_dot(a, b):
@@ -481,61 +473,6 @@ def _chan_dot(a, b):
     return np.einsum("nc,nc->c", a, b)
 
 
-def _k_conv_bn_relu(args, params):
-    nca = params["n_conv_args"]
-    y = _k_conv2d(args[:nca], params)
-    gamma, beta = args[nca], args[nca + 1]
-    axes, shape = _bn_axes(params["ndim"])
-    mean = y.mean(axis=axes)
-    # ``y`` is this kernel's own conv output, so it can be centred and
-    # scaled in place, becoming the xhat the tuple hands to the backward.
-    y -= mean.reshape(shape)
-    var = (y * y).mean(axis=axes)
-    invstd = 1.0 / np.sqrt(var + params["eps"])
-    y *= invstd.reshape(shape)
-    out = y * gamma.reshape(shape)
-    out += beta.reshape(shape)
-    np.maximum(out, 0.0, out=out)
-    return (out, y, invstd, mean, var)
-
-
-def _k_conv_bn_relu_bwd(args, params):
-    g, tup, x, w, gamma = args
-    y, xhat, invstd, _, _ = tup
-    axes, shape = _bn_axes(params["ndim"])
-    # Persistent per-node buffers, as in ``_k_bn_relu_train_bwd``: the
-    # gated gradient never escapes this kernel (it is consumed by the
-    # conv backward below, whose outputs are fresh), so warm reuse is
-    # safe and skips the page-fault sweep of fresh multi-MB allocations.
-    scratch = params.get("_scratch_bnr")
-    if scratch is None or scratch[0].shape != g.shape:
-        scratch = (
-            np.empty_like(g),
-            np.empty_like(g),
-            np.empty(g.shape, dtype=bool),
-        )
-        params["_scratch_bnr"] = scratch
-    gr, tmp, mask = scratch
-    np.greater(y, 0.0, out=mask)
-    np.multiply(g, mask, out=gr)
-    gbeta = gr.sum(axis=axes)
-    ggamma = _chan_dot(gr, xhat)
-    # gz = (gamma * invstd) * (gr - gbeta/cnt - xhat * ggamma/cnt): the
-    # batch means of gamma*gr and gamma*gr*xhat are gamma*gbeta/cnt and
-    # gamma*ggamma/cnt, so the two reductions above are the only ones
-    # needed; the whole chain runs in place on the scratch.
-    cnt = gr.size // gr.shape[1]
-    gr -= (gbeta / cnt).reshape(shape)
-    np.multiply(xhat, (ggamma / cnt).reshape(shape), out=tmp)
-    gr -= tmp
-    gr *= (gamma * invstd).reshape(shape)
-    gz = gr
-    gw = _conv_grad_w(gz, x, params)
-    gb = gz.sum(axis=(0, 2, 3)) if params["has_bias"] else None
-    gx = _conv_grad_x(gz, w, params) if params["need_gx"] else None
-    return (gx, gw, gb, ggamma, gbeta)
-
-
 # Fast-table overrides of the shared (tape-replicating) BatchNorm train
 # kernels: same arithmetic with the temporaries squeezed out — centring in
 # a single allocated buffer, channel reductions via einsum instead of a
@@ -543,11 +480,13 @@ def _k_conv_bn_relu_bwd(args, params):
 # order matches the tape bit for bit.
 
 
-def _k_bn_train_fast(args, params):
+def _k_bn_train_fast(args, params, xhat=None):
+    # ``xhat``: a buffer to centre into; the fused conv passes its own
+    # output so the centring allocates nothing.
     x, gamma, beta = args
     axes, shape = _bn_axes(params["ndim"])
     mean = x.mean(axis=axes)
-    xhat = x - mean.reshape(shape)
+    xhat = np.subtract(x, mean.reshape(shape), out=xhat)
     var = (xhat * xhat).mean(axis=axes)
     invstd = 1.0 / np.sqrt(var + params["eps"])
     xhat *= invstd.reshape(shape)
@@ -575,8 +514,8 @@ def _k_bn_train_bwd_fast(args, params):
 # (``max(z, 0) > 0  ⇔  z > 0``) before running the BN chain in place.
 
 
-def _k_bn_relu_train(args, params):
-    out, xhat, invstd, mean, var = _k_bn_train_fast(args, params)
+def _k_bn_relu_train(args, params, xhat=None):
+    out, xhat, invstd, mean, var = _k_bn_train_fast(args, params, xhat)
     np.maximum(out, 0.0, out=out)
     return (out, xhat, invstd, mean, var)
 
@@ -604,12 +543,42 @@ def _k_bn_relu_train_bwd(args, params):
     np.multiply(g, mask, out=gr)
     gbeta = gr.sum(axis=axes)
     ggamma = _chan_dot(gr, xhat)
+    # gx = (gamma * invstd) * (gr - gbeta/cnt - xhat * ggamma/cnt): the
+    # batch means of gamma*gr and gamma*gr*xhat are gamma*gbeta/cnt and
+    # gamma*ggamma/cnt, so the two reductions above are the only ones
+    # needed; the whole chain runs in place on the scratch.
     cnt = gr.size // gr.shape[1]
     gr -= (gbeta / cnt).reshape(shape)
     np.multiply(xhat, (ggamma / cnt).reshape(shape), out=tmp)
     gr -= tmp
     gr *= (gamma * invstd).reshape(shape)
     return (gr, ggamma, gbeta)
+
+
+# ----------------------------------------------------- fused conv → BN → ReLU
+# Fast mode only.  The fused tuple keeps the bn_train layout
+# (out, xhat, invstd, mean, var) so the tracer's running-stat tuple_gets
+# (indices 3/4) stay valid when the fusion pass replaces the bn node in
+# place; ``out`` is post-ReLU.
+
+
+def _k_conv_bn_relu(args, params):
+    nca = params["n_conv_args"]
+    y = _k_conv2d(args[:nca], params)
+    # ``y`` is this kernel's own conv output, so BN centres and scales it
+    # in place, turning it into the xhat the tuple hands to the backward.
+    return _k_bn_relu_train([y, args[nca], args[nca + 1]], params, xhat=y)
+
+
+def _k_conv_bn_relu_bwd(args, params):
+    g, tup, x, w, gamma = args
+    # The gated BN gradient lives in the BN→ReLU kernel's persistent
+    # scratch; it never escapes (the conv backward's outputs are fresh).
+    gz, ggamma, gbeta = _k_bn_relu_train_bwd([g, tup, gamma], params)
+    gw = _conv_grad_w(gz, x, params)
+    gb = gz.sum(axis=(0, 2, 3)) if params["has_bias"] else None
+    gx = _conv_grad_x(gz, w, params) if params["need_gx"] else None
+    return (gx, gw, gb, ggamma, gbeta)
 
 
 _TRAIN_KERNELS = {
@@ -619,9 +588,9 @@ _TRAIN_KERNELS = {
     "max_pool2d_bwd": _k_max_pool2d_bwd,
     "cross_entropy": _k_cross_entropy,
     "cross_entropy_bwd": _k_cross_entropy_bwd,
-    "tuple_get": _k_tuple_get,
+    "tuple_get": KERNELS["getitem"],
     "unbroadcast": _k_unbroadcast,
-    "add_acc": _k_add_acc,
+    "add_acc": KERNELS["add"],
     "relu_bwd": _k_relu_bwd,
     "tanh_bwd": _k_tanh_bwd,
     "sigmoid_bwd": _k_sigmoid_bwd,
@@ -664,63 +633,14 @@ KTABLE_FAST = {
 }
 
 KTABLE_EXACT = {
-    **KERNELS,
+    **EXACT_KERNELS,
     **_TRAIN_KERNELS,
-    "conv2d": _k_conv2d_exact,
     "conv_bwd_w": _k_conv_bwd_w_exact,
     "conv_bwd_x": _k_conv_bwd_x_exact,
     "conv_bwd_b": _k_conv_bwd_b_exact,
 }
 
-# Ops whose runtime kernel may return a view of an input (or of a tuple
-# element); neither these slots nor their inputs may ever be overwritten by
-# an in-place rewrite.
-_VIEW_OPS = frozenset(
-    {"reshape", "transpose", "getitem", "tuple_get", "slice_axis", "unpad2d"}
-)
-
-
 # ------------------------------------------------------- backward derivation
-
-
-def _requires_flags(nodes: list[Node]) -> list[bool]:
-    """``requires[i]`` replicates ``Tensor.requires_grad`` propagation:
-    parameters are the only requiring leaves; compute nodes require iff any
-    input does (``build`` detaches outputs with no requiring parent)."""
-    requires = [False] * len(nodes)
-    for i, node in enumerate(nodes):
-        if node.op == "param":
-            requires[i] = True
-        elif node.op not in _LEAF_OPS:
-            requires[i] = any(requires[j] for j in node.inputs)
-    return requires
-
-
-def _tape_topo(nodes: list[Node], requires: list[bool], root: int) -> list[int]:
-    """Replicate ``Tensor.backward``'s DFS over the traced graph.
-
-    Same stack discipline, same push order — non-requiring nodes are not
-    expanded (their tape tensors have ``_prev = ()``), so the reverse
-    visitation order (and with it the gradient accumulation order) matches
-    the tape's float-addition order exactly.
-    """
-    topo: list[int] = []
-    seen: set[int] = set()
-    stack: list[tuple[int, bool]] = [(root, False)]
-    while stack:
-        index, processed = stack.pop()
-        if processed:
-            topo.append(index)
-            continue
-        if index in seen:
-            continue
-        seen.add(index)
-        stack.append((index, True))
-        if requires[index] and nodes[index].op not in _LEAF_OPS:
-            for j in nodes[index].inputs:
-                if j not in seen:
-                    stack.append((j, False))
-    return topo
 
 
 class _Deriver:
@@ -743,6 +663,16 @@ class _Deriver:
         if gshape == want:
             return g
         return self.emit("unbroadcast", (g,), {"shape": want}, shape=want)
+
+    def _unpack(self, bwd: int, ins, slots) -> list[tuple[int, int]]:
+        """Project a tuple-valued backward node: one ``tuple_get`` per
+        (parent position, tuple index) pair."""
+        return [
+            (pos, self.emit(
+                "tuple_get", (bwd,), {"index": k}, shape=self.shapes[ins[pos]]
+            ))
+            for pos, k in slots
+        ]
 
     def vjp(self, i: int, g: int) -> list[tuple[int, int]]:
         """(parent position, gradient node) pairs in backward-closure order."""
@@ -888,29 +818,13 @@ class _Deriver:
                 "_fwd_node": i,
             }
             bwd = emit("conv_bn_relu_bwd", (g, i, ins[0], ins[1], ins[nca]), p)
-            out = [
-                (0, emit("tuple_get", (bwd,), {"index": 0}, shape=xshape)),
-                (1, emit("tuple_get", (bwd,), {"index": 1}, shape=wshape)),
-            ]
-            if nca == 3:
-                out.append((2, emit(
-                    "tuple_get", (bwd,), {"index": 2}, shape=self.shapes[ins[2]]
-                )))
-            out.append((nca, emit(
-                "tuple_get", (bwd,), {"index": 3}, shape=self.shapes[ins[nca]]
-            )))
-            out.append((nca + 1, emit(
-                "tuple_get", (bwd,), {"index": 4}, shape=self.shapes[ins[nca + 1]]
-            )))
-            return out
+            bias = [(2, 2)] if nca == 3 else []
+            slots = [(0, 0), (1, 1), *bias, (nca, 3), (nca + 1, 4)]
+            return self._unpack(bwd, ins, slots)
         if op in ("bn_train", "bn_relu_train"):
             p = {"ndim": node.params["ndim"]}
             bwd = emit(op + "_bwd", (g, i, ins[1]), p)
-            return [
-                (0, emit("tuple_get", (bwd,), {"index": 0}, shape=self.shapes[ins[0]])),
-                (1, emit("tuple_get", (bwd,), {"index": 1}, shape=self.shapes[ins[1]])),
-                (2, emit("tuple_get", (bwd,), {"index": 2}, shape=self.shapes[ins[2]])),
-            ]
+            return self._unpack(bwd, ins, [(0, 0), (1, 1), (2, 2)])
         if op == "max_pool2d_train":
             shape = self.shapes[ins[0]]
             p = {
@@ -963,17 +877,24 @@ def _derive_backward(
     backward-closure position order, accumulating second and later
     contributions with an explicit add.
     """
-    requires = _requires_flags(nodes)
+    # ``Tensor.requires_grad`` propagation: parameters are the only
+    # requiring leaves; a compute node requires iff any input does.
+    requires = _depends_on(
+        nodes, {i for i, node in enumerate(nodes) if node.op == "param"}
+    )
     if not requires[loss]:
         raise CompileError("loss does not depend on any parameter")
-    topo = _tape_topo(nodes, requires, loss)
+    # ``Tensor.backward``'s DFS: same stack discipline and push order, and
+    # non-requiring nodes are not expanded (their tape ``_prev`` is empty),
+    # so the gradient accumulation order matches the tape's exactly.
+    topo = _toposort(nodes, [loss], expand=requires)
     deriver = _Deriver(nodes, shapes, requires)
     grad_of: dict[int, int] = {}
     grad_of[loss] = deriver.emit(
         "value", params={"value": np.ones_like(sample_loss)}, shape=sample_loss.shape
     )
     for i in reversed(topo):
-        if not requires[i] or nodes[i].op in _LEAF_OPS:
+        if not requires[i] or nodes[i].op in LEAF_OPS:
             continue
         g = grad_of.get(i)
         if g is None:
@@ -995,13 +916,14 @@ def _derive_backward(
 # ------------------------------------------------------------- fusion (fast)
 
 
-def _fuse_conv_bn_relu(
-    nodes: list[Node], shapes: list, protected: set[int]
-) -> int:
-    """Fast-mode peephole: ``conv2d → bn_train → tuple_get0 → relu`` becomes
-    one ``conv_bn_relu`` tuple node.
+def _fuse_bn_relu(nodes: list[Node], shapes: list, protected: set[int]) -> int:
+    """Fast-mode peephole: ``bn_train → tuple_get0 → relu`` becomes one
+    tuple node.
 
-    The bn node's index is reused for the fused node so the tracer's
+    A single-consumer ``conv2d`` producer folds in as well
+    (``conv_bn_relu``); without one — pre-activation blocks such as
+    DenseNet's BN→ReLU→conv — the chain becomes ``bn_relu_train``.  The
+    bn node's index is reused for the fused node so the tracer's
     running-stat ``tuple_get`` consumers (indices 3/4 — same slot layout)
     stay valid without rewiring; the relu node's index becomes the fused
     output projection, keeping downstream consumers valid too.  The old
@@ -1025,96 +947,34 @@ def _fuse_conv_bn_relu(
             continue
         b = proj.inputs[0]
         bn = nodes[b]
-        if bn.op != "bn_train":
+        if bn.op != "bn_train" or {t, b} & protected:
             continue
         c = bn.inputs[0]
         conv = nodes[c]
-        if conv.op != "conv2d" or consumers.get(c, 0) != 1:
-            continue
-        if {t, c, b} & protected:
-            continue
-        nodes[b] = Node(
-            "conv_bn_relu",
-            conv.inputs + bn.inputs[1:],
-            {
-                "stride": conv.params["stride"],
-                "padding": conv.params["padding"],
-                "eps": bn.params["eps"],
-                "ndim": bn.params["ndim"],
-                "n_conv_args": len(conv.inputs),
-            },
-        )
-        shapes[b] = None
+        if conv.op == "conv2d" and consumers.get(c, 0) == 1 and c not in protected:
+            nodes[b] = Node(
+                "conv_bn_relu",
+                conv.inputs + bn.inputs[1:],
+                {
+                    "stride": conv.params["stride"],
+                    "padding": conv.params["padding"],
+                    "eps": bn.params["eps"],
+                    "ndim": bn.params["ndim"],
+                    "n_conv_args": len(conv.inputs),
+                },
+            )
+            shapes[b] = None
+        else:
+            nodes[b] = Node("bn_relu_train", bn.inputs, dict(bn.params))
         nodes[r] = Node("tuple_get", (b,), {"index": 0})
         n_fused += 1
     return n_fused
-
-
-def _fuse_bn_relu(
-    nodes: list[Node], shapes: list, protected: set[int]
-) -> int:
-    """Fast-mode peephole: ``bn_train → tuple_get0 → relu`` becomes one
-    ``bn_relu_train`` tuple node.
-
-    The pre-activation variant of :func:`_fuse_conv_bn_relu` (run after
-    it, picking up the chains with no foldable producing conv — DenseNet's
-    BN→ReLU→conv blocks).  The same index-reuse scheme applies: the bn
-    node's index keeps the running-stat ``tuple_get`` consumers valid, and
-    the relu node becomes the post-ReLU projection.
-    """
-    consumers: dict[int, int] = {}
-    for node in nodes:
-        for j in node.inputs:
-            consumers[j] = consumers.get(j, 0) + 1
-    n_fused = 0
-    for r, node in enumerate(nodes):
-        if node.op != "relu":
-            continue
-        t = node.inputs[0]
-        proj = nodes[t]
-        if (
-            proj.op != "tuple_get"
-            or proj.params["index"] != 0
-            or consumers.get(t, 0) != 1
-        ):
-            continue
-        b = proj.inputs[0]
-        bn = nodes[b]
-        if bn.op != "bn_train":
-            continue
-        if {t, b} & protected:
-            continue
-        nodes[b] = Node("bn_relu_train", bn.inputs, dict(bn.params))
-        nodes[r] = Node("tuple_get", (b,), {"index": 0})
-        n_fused += 1
-    return n_fused
-
-
-def _toposort_multi(nodes: list[Node], roots: list[int]) -> list[int]:
-    """Live node indices in dependency order across several roots."""
-    order: list[int] = []
-    seen: set[int] = set()
-    for root in roots:
-        stack: list[tuple[int, bool]] = [(root, False)]
-        while stack:
-            index, done = stack.pop()
-            if done:
-                order.append(index)
-                continue
-            if index in seen:
-                continue
-            seen.add(index)
-            stack.append((index, True))
-            for j in nodes[index].inputs:
-                if j not in seen:
-                    stack.append((j, False))
-    return order
 
 
 # -------------------------------------------------------------- GradPlan
 
 
-class GradPlan:
+class GradPlan(Program):
     """An executable training step (loss + logits + gradients) for one
     (input shape, label shape) pair.
 
@@ -1140,7 +1000,6 @@ class GradPlan:
     ):
         nodes = [Node(n.op, n.inputs, dict(n.params)) for n in graph.nodes]
         shapes = list(graph.shapes)
-        self.exact = exact
         self.bn_updates = [dict(u) for u in graph.bn_updates]
         protected = {graph.input, graph.logits, graph.loss}
         if graph.label is not None:
@@ -1148,40 +1007,36 @@ class GradPlan:
         if exact or not fuse:
             self.n_fused = 0
         else:
-            self.n_fused = _fuse_conv_bn_relu(nodes, shapes, protected)
-            self.n_fused += _fuse_bn_relu(nodes, shapes, protected)
+            self.n_fused = _fuse_bn_relu(nodes, shapes, protected)
         grad_of = _derive_backward(nodes, shapes, graph.loss, graph.sample_loss)
-        self._grad_index = {
+        grad_index = {
             nodes[i].params["name"]: grad_of[i]
             for i in grad_of
             if nodes[i].op == "param"
         }
-        stat_nodes = [u["mean"] for u in self.bn_updates] + [
-            u["var"] for u in self.bn_updates
+        self._grad_names = list(grad_index)
+        self._fetch = [
+            graph.loss,
+            graph.logits,
+            *grad_index.values(),
+            *(u["mean"] for u in self.bn_updates),
+            *(u["var"] for u in self.bn_updates),
         ]
-        roots = [graph.loss, graph.logits, *self._grad_index.values(), *stat_nodes]
-        order = _toposort_multi(nodes, roots)
-        table = KTABLE_EXACT if exact else KTABLE_FAST
-        for i in order:
-            op = nodes[i].op
-            if op not in _LEAF_OPS and op not in table:
-                raise CompileError(f"no runtime kernel for op {op!r}")
+        super().__init__(
+            nodes, self._fetch, KTABLE_EXACT if exact else KTABLE_FAST, exact
+        )
         # Wire shared-scratch references now that node copies are final:
         # a backward conv reads the padded input its forward kernel cached.
-        for i in order:
+        for i in self._order:
             fwd = nodes[i].params.get("_fwd_node")
             if fwd is not None:
                 nodes[i].params["_fwd"] = nodes[fwd].params
 
-        self._nodes = nodes
         self._input = graph.input
         self._label = graph.label
         self._label_shape = (
             None if graph.label is None else nodes[graph.label].params["shape"]
         )
-        self._loss = graph.loss
-        self._logits = graph.logits
-
         params = dict(model.named_parameters())
         buffers: dict[str, tuple[Module, str]] = {}
         for prefix, module in model.named_modules():
@@ -1190,8 +1045,7 @@ class GradPlan:
                 buffers[full] = (module, local)
         self._param_slots: list[tuple[int, object]] = []
         self._buffer_slots: list[tuple[int, Module, str]] = []
-        live = set(order)
-        for i in live:
+        for i in self._order:
             node = nodes[i]
             if node.op == "param":
                 name = node.params["name"]
@@ -1205,102 +1059,18 @@ class GradPlan:
                 module, local = buffers[name]
                 self._buffer_slots.append((i, module, local))
 
-        # "value" leaves (traced constants and the backward seed) are
-        # preset once and survive every run; everything non-leaf is a
-        # runtime step.
-        self._slots: list = [None] * len(nodes)
-        for i in live:
-            if nodes[i].op == "value":
-                value = nodes[i].params["value"]
-                self._slots[i] = (
-                    value.copy() if isinstance(value, np.ndarray) else value
-                )
-        steps = [i for i in order if nodes[i].op not in _LEAF_OPS]
-        roots_set = set(roots)
-        step_set = set(steps)
-        last_use: dict[int, int] = {}
-        for i in steps:
-            for j in nodes[i].inputs:
-                if j in step_set:
-                    last_use[j] = i
-        frees_at: dict[int, list[int]] = {}
-        for value, step in last_use.items():
-            if value not in roots_set:
-                frees_at.setdefault(step, []).append(value)
-        aliased: set[int] = set()
-        for i in steps:
-            if nodes[i].op in _VIEW_OPS:
-                aliased.add(i)
-                aliased.update(nodes[i].inputs)
-        self._steps = []
-        for i in steps:
-            op = nodes[i].op
-            frees = tuple(frees_at.get(i, ()))
-            inplace = None
-            if not exact and op in ("relu", "add", "add_acc"):
-                for pos, j in enumerate(nodes[i].inputs):
-                    if j in frees and j not in aliased and j in step_set:
-                        inplace = pos
-                        break
-            kernel = table[op] if op != "value" else None
-            self._steps.append(
-                (kernel, nodes[i].inputs, i, nodes[i].params, frees,
-                 op if inplace is not None else None, inplace)
-            )
-        self._runtime_slots = steps
-        self.op_counts: dict[str, int] = {}
-        for i in steps:
-            self.op_counts[nodes[i].op] = self.op_counts.get(nodes[i].op, 0) + 1
-
-    @property
-    def n_steps(self) -> int:
-        return len(self._steps)
-
     def run(self, x: np.ndarray, y: np.ndarray):
         """One training step's compute: ``(loss, logits, grads, stats)``."""
-        slots = self._slots
-        slots[self._input] = x
+        feeds = [(self._input, x)]
         if self._label is not None:
             labels = np.asarray(y)
             if labels.shape != self._label_shape:
                 labels = labels.reshape(self._label_shape)
-            slots[self._label] = labels
-        for i, param in self._param_slots:
-            slots[i] = param.data
-        for i, module, local in self._buffer_slots:
-            slots[i] = module._buffers[local]
-        try:
-            for kernel, inputs, out_index, params, frees, iop, ipos in self._steps:
-                args = [slots[j] for j in inputs]
-                if iop == "relu":
-                    out = np.maximum(args[0], 0.0, out=args[0])
-                elif (
-                    iop in ("add", "add_acc")
-                    and isinstance(args[0], np.ndarray)
-                    and isinstance(args[1], np.ndarray)
-                    and args[0].shape == args[1].shape
-                    and args[0].dtype == args[1].dtype
-                ):
-                    out = np.add(args[0], args[1], out=args[ipos])
-                else:
-                    out = kernel(args, params)
-                slots[out_index] = out
-                for j in frees:
-                    slots[j] = None
-            loss = slots[self._loss]
-            logits = slots[self._logits]
-            grads = {name: slots[i] for name, i in self._grad_index.items()}
-            stats = [
-                (slots[u["mean"]], slots[u["var"]]) for u in self.bn_updates
-            ]
-            return loss, logits, grads, stats
-        finally:
-            slots[self._input] = None
-            if self._label is not None:
-                slots[self._label] = None
-            for i, _ in self._param_slots:
-                slots[i] = None
-            for i, _, _ in self._buffer_slots:
-                slots[i] = None
-            for i in self._runtime_slots:
-                slots[i] = None
+            feeds.append((self._label, labels))
+        feeds += [(i, param.data) for i, param in self._param_slots]
+        feeds += [(i, mod._buffers[local]) for i, mod, local in self._buffer_slots]
+        loss, logits, *rest = self._execute(feeds, self._fetch)
+        n, k = len(self._grad_names), len(self.bn_updates)
+        grads = dict(zip(self._grad_names, rest[:n]))
+        stats = list(zip(rest[n : n + k], rest[n + k :]))
+        return loss, logits, grads, stats

@@ -1,6 +1,14 @@
-"""Compile a traced :class:`~repro.infer.trace.Graph` into a flat numpy plan.
+"""The plan runtime: one schedule-and-run core and the eval front end.
 
-Compilation passes, in order:
+:class:`Program` is the core every compiled plan runs on.  A front end
+lowers its traced graph to a node list, the roots it reads back and a
+kernel table; the core keeps the live nodes, orders them into steps, frees
+each intermediate at its last use, picks the in-place rewrites, and runs
+the step list.  :class:`CompiledPlan` (eval forwards, this module) and
+:class:`~repro.infer.grad.GradPlan` (training steps) are its two front
+ends.
+
+The eval front end's passes, in order:
 
 1. **BatchNorm rewrite** — every eval-mode ``batch_norm`` node either folds
    into the producing ``conv2d``/``linear`` (when it is that node's only
@@ -10,11 +18,8 @@ Compilation passes, in order:
 2. **Constant classification** — a node is constant iff none of its
    ancestors is the input.  The entire masked-weight subgraph
    (``weight * mask``) is constant, so densified weights are computed once
-   at refresh time instead of on every forward.
-3. **Dead-code elimination + scheduling** — a topological walk from the
-   output keeps only live nodes, orders the runtime steps, and attaches a
-   free list to each step so intermediate activations are dropped at their
-   last use.
+   at refresh time instead of on every forward; only input-dependent nodes
+   become steps of the core.
 
 :meth:`CompiledPlan.refresh` re-resolves ``param``/``buffer`` leaves *by
 name* from the live model (``load_state_dict`` and ``set_buffer`` rebind
@@ -28,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.autograd.functional import _im2col
-from repro.infer.trace import Graph, Node
+from repro.infer.trace import LEAF_OPS, Graph, Node
 from repro.nn.module import Module
 
 
@@ -377,21 +382,181 @@ KERNELS = {
     "bn_affine": _k_bn_affine,
 }
 
-_LEAVES = ("input", "param", "buffer", "value")
+# Reference-mode overrides: the module's own im2col convolution and
+# unrewritten BatchNorm, so an exact plan replays the module bit for bit.
+# The exact gradient table in ``repro.infer.grad`` extends this one.
+EXACT_KERNELS = {
+    **KERNELS,
+    "conv2d": _k_conv2d_exact,
+    "batch_norm": _k_batch_norm_exact,
+}
+
+# Ops whose kernel may return a view of an input (or of a tuple element):
+# neither their slots nor their inputs' slots are ever written in place.
+VIEW_OPS = frozenset(
+    {"reshape", "transpose", "getitem", "tuple_get", "slice_axis", "unpad2d"}
+)
+# Elementwise ops that may overwrite an input buffer dying at their step.
+INPLACE_OPS = frozenset({"relu", "add", "add_acc"})
 
 
-# ----------------------------------------------------------- compile passes
+# ------------------------------------------------------------ runtime core
 
 
-def _runtime_flags(nodes: list[Node], input_index: int) -> list[bool]:
-    """``runtime[i]`` — node i (transitively) depends on the input."""
-    runtime = [False] * len(nodes)
+def _depends_on(nodes: list[Node], sources: set[int]) -> list[bool]:
+    """``flags[i]`` — node i is a source or (transitively) consumes one."""
+    flags = [False] * len(nodes)
     for i, node in enumerate(nodes):
-        if i == input_index:
-            runtime[i] = True
-        elif node.op not in _LEAVES:
-            runtime[i] = any(runtime[j] for j in node.inputs)
-    return runtime
+        if i in sources:
+            flags[i] = True
+        elif node.op not in LEAF_OPS:
+            flags[i] = any(flags[j] for j in node.inputs)
+    return flags
+
+
+def _toposort(
+    nodes: list[Node], roots: list[int], expand: list[bool] | None = None
+) -> list[int]:
+    """Node indices reachable from ``roots`` in dependency order.
+
+    Iterative post-order DFS; a node with ``expand[i]`` false is kept but
+    its inputs are not walked (the tape's backward stops at nodes that
+    do not require a gradient).
+    """
+    order: list[int] = []
+    seen: set[int] = set()
+    for root in roots:
+        stack: list[tuple[int, bool]] = [(root, False)]
+        while stack:
+            index, done = stack.pop()
+            if done:
+                order.append(index)
+                continue
+            if index in seen:
+                continue
+            seen.add(index)
+            stack.append((index, True))
+            if expand is None or expand[index]:
+                for j in nodes[index].inputs:
+                    if j not in seen:
+                        stack.append((j, False))
+    return order
+
+
+class Program:
+    """The schedule-and-run core both plan front ends compile to.
+
+    A front end lowers its graph to nodes, the roots it reads back and a
+    kernel table.  The core keeps the nodes live from the roots, turns
+    every live non-leaf node marked ``runtime`` into a step, frees each
+    step's value right after its last consumer (roots survive), and in
+    fast mode lets an elementwise step overwrite an input that dies there
+    and can alias no other slot.  ``value`` leaves are preset once;
+    everything else a step reads is bound per run by the front end.
+    """
+
+    def __init__(
+        self,
+        nodes: list[Node],
+        roots: list[int],
+        table: dict,
+        exact: bool,
+        runtime: list[bool] | None = None,
+    ):
+        order = _toposort(nodes, roots)
+        for i in order:
+            op = nodes[i].op
+            if op not in LEAF_OPS and op not in table:
+                raise CompileError(f"no runtime kernel for op {op!r}")
+        steps = [
+            i for i in order
+            if nodes[i].op not in LEAF_OPS and (runtime is None or runtime[i])
+        ]
+        step_set = set(steps)
+        keep = set(roots)
+        last_use: dict[int, int] = {}
+        for i in steps:
+            for j in nodes[i].inputs:
+                if j in step_set:
+                    last_use[j] = i
+        frees_at: dict[int, list[int]] = {}
+        for value, step in last_use.items():
+            if value not in keep:
+                frees_at.setdefault(step, []).append(value)
+        aliased: set[int] = set()
+        for i in steps:
+            if nodes[i].op in VIEW_OPS:
+                aliased.add(i)
+                aliased.update(nodes[i].inputs)
+        self._steps = []
+        self.op_counts: dict[str, int] = {}
+        for i in steps:
+            node = nodes[i]
+            frees = tuple(frees_at.get(i, ()))
+            # Only a step's own output can die at a step, so an in-place
+            # rewrite never targets a leaf: front ends may bind the model's
+            # live arrays into leaf slots.
+            inplace = None
+            if not exact and node.op in INPLACE_OPS:
+                for pos, j in enumerate(node.inputs):
+                    if j in frees and j not in aliased:
+                        inplace = pos
+                        break
+            self._steps.append(
+                (table[node.op], node.inputs, i, node.params, frees,
+                 node.op if inplace is not None else None, inplace)
+            )
+            self.op_counts[node.op] = self.op_counts.get(node.op, 0) + 1
+        self.exact = exact
+        self._nodes = nodes
+        self._table = table
+        self._order = order
+        self._step_slots = steps
+        self._slots: list = [None] * len(nodes)
+        for i in order:
+            if nodes[i].op == "value":
+                value = nodes[i].params["value"]
+                self._slots[i] = (
+                    value.copy() if isinstance(value, np.ndarray) else value
+                )
+
+    @property
+    def n_steps(self) -> int:
+        return len(self._steps)
+
+    def _execute(self, feeds: list[tuple[int, object]], fetch: list[int]) -> list:
+        """Bind ``feeds`` into their slots, run every step, and return the
+        ``fetch`` slots.  Fed and step slots are cleared on the way out."""
+        slots = self._slots
+        for i, value in feeds:
+            slots[i] = value
+        try:
+            for kernel, inputs, out_index, params, frees, iop, ipos in self._steps:
+                args = [slots[j] for j in inputs]
+                if iop == "relu":
+                    out = np.maximum(args[0], 0.0, out=args[0])
+                elif (
+                    iop is not None
+                    and isinstance(args[0], np.ndarray)
+                    and isinstance(args[1], np.ndarray)
+                    and args[0].shape == args[1].shape
+                    and args[0].dtype == args[1].dtype
+                ):
+                    out = np.add(args[0], args[1], out=args[ipos])
+                else:
+                    out = kernel(args, params)
+                slots[out_index] = out
+                for j in frees:
+                    slots[j] = None
+            return [slots[i] for i in fetch]
+        finally:
+            for i, _ in feeds:
+                slots[i] = None
+            for i in self._step_slots:
+                slots[i] = None
+
+
+# ----------------------------------------------------------- eval front end
 
 
 def _rewrite_batch_norm(graph: Graph, fold_bn: bool) -> tuple[list[Node], int]:
@@ -403,7 +568,7 @@ def _rewrite_batch_norm(graph: Graph, fold_bn: bool) -> tuple[list[Node], int]:
     nodes topologically, not by index.
     """
     nodes = [Node(n.op, n.inputs, dict(n.params)) for n in graph.nodes]
-    runtime = _runtime_flags(nodes, graph.input)
+    runtime = _depends_on(nodes, {graph.input})
     consumers: dict[int, int] = {}
     for node in nodes:
         for j in node.inputs:
@@ -446,27 +611,7 @@ def _rewrite_batch_norm(graph: Graph, fold_bn: bool) -> tuple[list[Node], int]:
     return nodes, n_folded
 
 
-def _toposort(nodes: list[Node], output: int) -> list[int]:
-    """Live node indices in dependency order (iterative post-order DFS)."""
-    order: list[int] = []
-    seen: set[int] = set()
-    stack: list[tuple[int, bool]] = [(output, False)]
-    while stack:
-        index, done = stack.pop()
-        if done:
-            order.append(index)
-            continue
-        if index in seen:
-            continue
-        seen.add(index)
-        stack.append((index, True))
-        for j in nodes[index].inputs:
-            if j not in seen:
-                stack.append((j, False))
-    return order
-
-
-class CompiledPlan:
+class CompiledPlan(Program):
     """An executable eval-mode forward for one input shape/dtype.
 
     ``run`` streams one batch through the runtime steps; all constants
@@ -480,7 +625,6 @@ class CompiledPlan:
     """
 
     def __init__(self, graph: Graph, fold_bn: bool = True, exact: bool = False):
-        _exact_kernels = {"conv2d": _k_conv2d_exact, "batch_norm": _k_batch_norm_exact}
         if exact:
             # Reference mode keeps batch_norm nodes as traced; the rewrite's
             # x·scale + shift form is algebraically equal but rounds
@@ -489,79 +633,21 @@ class CompiledPlan:
             self.n_folded = 0
         else:
             nodes, self.n_folded = _rewrite_batch_norm(graph, fold_bn)
-        order = _toposort(nodes, graph.output)
-        live = set(order)
-        if graph.input not in live:
+        runtime = _depends_on(nodes, {graph.input})
+        if not runtime[graph.output]:
             raise CompileError("plan output does not depend on the input")
-        runtime = _runtime_flags(nodes, graph.input)
-
-        for i in order:
-            op = nodes[i].op
-            if op in _LEAVES or op in KERNELS or (exact and op in _exact_kernels):
-                continue
-            raise CompileError(f"no runtime kernel for op {op!r}")
-
-        self._nodes = nodes
+        super().__init__(
+            nodes, [graph.output], EXACT_KERNELS if exact else KERNELS, exact,
+            runtime,
+        )
         self._input = graph.input
         self._output = graph.output
         self._const_order = [
-            i for i in order if not runtime[i] and nodes[i].op != "input"
+            i for i in self._order if not runtime[i] and nodes[i].op != "input"
         ]
-        # Last-use bookkeeping: free each runtime intermediate right after
-        # the step that consumes it last (the output survives the sweep).
-        runtime_steps = [
-            i for i in order if runtime[i] and nodes[i].op not in _LEAVES
-        ]
-        last_use: dict[int, int] = {}
-        for step in runtime_steps:
-            for j in self._nodes[step].inputs:
-                if runtime[j]:
-                    last_use[j] = step
-        frees_at: dict[int, list[int]] = {}
-        for value, step in last_use.items():
-            if value not in (self._output, self._input):
-                frees_at.setdefault(step, []).append(value)
-        # Slots touching a view-producing op may alias another slot's
-        # buffer, so they are never written in place.
-        aliased: set[int] = set()
-        for i in runtime_steps:
-            if nodes[i].op in ("reshape", "transpose", "getitem"):
-                aliased.add(i)
-                aliased.update(nodes[i].inputs)
-        self._steps = []
-        for i in runtime_steps:
-            op = nodes[i].op
-            frees = tuple(frees_at.get(i, ()))
-            # In-place candidate: an elementwise op may overwrite an input
-            # buffer that dies at this very step and cannot be aliased.
-            inplace = None
-            if not exact and op in ("relu", "add"):
-                for pos, j in enumerate(nodes[i].inputs):
-                    if j in frees and j not in aliased and runtime[j]:
-                        inplace = pos
-                        break
-            kernel = (
-                _exact_kernels[op]
-                if exact and op in _exact_kernels
-                else KERNELS[op]
-            )
-            self._steps.append(
-                (kernel, nodes[i].inputs, i, nodes[i].params, frees,
-                 op if inplace is not None else None, inplace)
-            )
-        self._runtime_slots = [i for i in runtime_steps if i != self._output]
-        self._slots: list = [None] * len(nodes)
-        self.op_counts: dict[str, int] = {}
-        for i in runtime_steps:
-            op = nodes[i].op
-            self.op_counts[op] = self.op_counts.get(op, 0) + 1
         # Set by the engine: the model-state signature the constants were
         # last refreshed against.
         self.signature: object = None
-
-    @property
-    def n_steps(self) -> int:
-        return len(self._steps)
 
     @property
     def nbytes(self) -> int:
@@ -606,39 +692,11 @@ class CompiledPlan:
                     raise CompileError(
                         f"model has no buffer {node.params['name']!r}"
                     ) from None
-            elif node.op == "value":
-                value = node.params["value"]
-                slots[i] = value.copy() if isinstance(value, np.ndarray) else value
-            else:
-                slots[i] = KERNELS[node.op](
+            elif node.op != "value":  # preset once by the core
+                slots[i] = self._table[node.op](
                     [slots[j] for j in node.inputs], node.params
                 )
 
     def run(self, x: np.ndarray) -> np.ndarray:
         """Execute the plan on one batch (constants must be refreshed)."""
-        slots = self._slots
-        slots[self._input] = x
-        try:
-            for kernel, inputs, out_index, params, frees, iop, ipos in self._steps:
-                args = [slots[j] for j in inputs]
-                if iop == "relu":
-                    out = np.maximum(args[0], 0.0, out=args[0])
-                elif (
-                    iop == "add"
-                    and isinstance(args[0], np.ndarray)
-                    and isinstance(args[1], np.ndarray)
-                    and args[0].shape == args[1].shape
-                    and args[0].dtype == args[1].dtype
-                ):
-                    out = np.add(args[0], args[1], out=args[ipos])
-                else:
-                    out = kernel(args, params)
-                slots[out_index] = out
-                for j in frees:
-                    slots[j] = None
-            return slots[self._output]
-        finally:
-            slots[self._input] = None
-            for i in self._runtime_slots:
-                slots[i] = None
-            slots[self._output] = None
+        return self._execute([(self._input, x)], [self._output])[0]

@@ -61,12 +61,6 @@ class Graph:
     output: int
     sample_output: np.ndarray  # module output on the traced sample
 
-    def count_ops(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for node in self.nodes:
-            counts[node.op] = counts.get(node.op, 0) + 1
-        return counts
-
 
 @dataclass
 class TrainGraph:
@@ -99,14 +93,10 @@ class TrainGraph:
     sample_loss: np.ndarray
     sample_logits: np.ndarray
 
-    def count_ops(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for node in self.nodes:
-            counts[node.op] = counts.get(node.op, 0) + 1
-        return counts
 
-
-_LEAF_OPS = frozenset({"input", "param", "buffer", "value", "label"})
+# Ops that bind a slot (the batch, labels, model state, traced constants)
+# instead of running a kernel.
+LEAF_OPS = frozenset({"input", "param", "buffer", "value", "label"})
 
 
 class _Tracer:

@@ -66,16 +66,22 @@ def train_enabled() -> bool:
     return os.environ.get(ENV_VAR_TRAIN, "1").lower() not in ("0", "false", "off")
 
 
+def _abs_gap(got: np.ndarray, want: np.ndarray) -> tuple[float, float]:
+    """The largest elementwise difference and the scale-aware bound on it."""
+    diff = float(np.abs(got - want).max()) if got.size else 0.0
+    bound = _GRAD_ATOL + _GRAD_RTOL * max(
+        1.0, float(np.abs(want).max()) if want.size else 0.0
+    )
+    return diff, bound
+
+
 def _close(got, want, exact: bool) -> bool:
     got, want = np.asarray(got), np.asarray(want)
     if got.shape != want.shape:
         return False
     if exact:
         return bool(np.array_equal(got, want))
-    diff = float(np.abs(got - want).max()) if got.size else 0.0
-    bound = _GRAD_ATOL + _GRAD_RTOL * max(
-        1.0, float(np.abs(want).max()) if want.size else 0.0
-    )
+    diff, bound = _abs_gap(got, want)
     return diff <= bound
 
 
@@ -87,6 +93,36 @@ def _grad_close(got, want, exact: bool) -> bool:
     got, want = np.asarray(got), np.asarray(want)
     diff = float(np.linalg.norm((got - want).ravel()))
     return diff <= _GRAD_RNORM * (float(np.linalg.norm(want.ravel())) + _GRAD_ATOL)
+
+
+def _grad_gap(got, want, exact: bool) -> str:
+    """The numbers the gradient gates judged, for a rejection message."""
+    got, want = np.asarray(got), np.asarray(want)
+    if got.shape != want.shape:
+        return f"shape {got.shape} vs {want.shape}"
+    diff, bound = _abs_gap(got, want)
+    if exact:
+        return f"max abs diff {diff:.3g}, exact mode allows none"
+    rel = float(np.linalg.norm((got - want).ravel())) / (
+        float(np.linalg.norm(want.ravel())) + _GRAD_ATOL
+    )
+    return (
+        f"max abs diff {diff:.3g} > bound {bound:.3g}, "
+        f"relative l2 diff {rel:.3g} > {_GRAD_RNORM:g}"
+    )
+
+
+def _update_running_stats(buffers: dict, bn_updates: list, stats) -> None:
+    """Replay ``functional.batch_norm``'s in-place running-stat update onto
+    ``buffers`` (name -> array) from a plan's batch ``(mean, var)`` pairs."""
+    for upd, (mean, var) in zip(bn_updates, stats):
+        momentum, m = upd["momentum"], upd["m"]
+        rm = buffers[upd["running_mean"]]
+        rm *= 1.0 - momentum
+        rm += momentum * mean
+        rv = buffers[upd["running_var"]]
+        rv *= 1.0 - momentum
+        rv += momentum * var * (m / max(m - 1, 1))
 
 
 def _mask_signature(model: Module) -> tuple:
@@ -171,21 +207,23 @@ class TrainEngine:
             if (got is None) != (want is None):
                 raise CompileError(f"gradient presence mismatch for {name!r}")
             if want is not None and not _grad_close(got, want, plan.exact):
-                raise CompileError(f"gradient parity failed for {name!r}")
+                raise CompileError(
+                    f"gradient parity failed for {name!r}: "
+                    + _grad_gap(got, want, plan.exact)
+                )
         # The running-stat update, simulated on copies, must land on the
         # same values the real train-mode forward wrote.
-        buffers = dict(self.model.named_buffers())
-        for upd, (mean, var) in zip(plan.bn_updates, stats):
-            momentum, m = upd["momentum"], upd["m"]
-            rm = buffers[upd["running_mean"]].copy()
-            rm *= 1.0 - momentum
-            rm += momentum * mean
-            rv = buffers[upd["running_var"]].copy()
-            rv *= 1.0 - momentum
-            rv += momentum * var * (m / max(m - 1, 1))
-            for name, got in ((upd["running_mean"], rm), (upd["running_var"], rv)):
-                if not _close(got, want_buffers[name], plan.exact):
-                    raise CompileError(f"running-stat parity failed for {name!r}")
+        running = [
+            name
+            for upd in plan.bn_updates
+            for name in (upd["running_mean"], upd["running_var"])
+        ]
+        live = dict(self.model.named_buffers())
+        buffers = {name: live[name].copy() for name in running}
+        _update_running_stats(buffers, plan.bn_updates, stats)
+        for name in running:
+            if not _close(buffers[name], want_buffers[name], plan.exact):
+                raise CompileError(f"running-stat parity failed for {name!r}")
 
     def _compile(self, x: np.ndarray, y: np.ndarray) -> GradPlan | None:
         key = (x.shape, x.dtype.str, np.asarray(y).shape)
@@ -238,7 +276,10 @@ class TrainEngine:
             observe.incr("trainc.fallback_batches")
             return self._tape_step(x, y)
         loss, logits, grads, stats = plan.run(x, y)
-        self._apply_bn_updates(plan, stats)
+        if plan.bn_updates:
+            _update_running_stats(
+                dict(self.model.named_buffers()), plan.bn_updates, stats
+            )
         self.optimizer.apply(self._aligned(grads))
         observe.incr("trainc.batches")
         return float(loss), logits
@@ -249,19 +290,6 @@ class TrainEngine:
         return self._plans.get((x.shape, x.dtype.str, np.asarray(y).shape)) is not None
 
     # ------------------------------------------------------------ internals
-
-    def _apply_bn_updates(self, plan: GradPlan, stats) -> None:
-        if not plan.bn_updates:
-            return
-        buffers = dict(self.model.named_buffers())
-        for upd, (mean, var) in zip(plan.bn_updates, stats):
-            momentum, m = upd["momentum"], upd["m"]
-            rm = buffers[upd["running_mean"]]
-            rm *= 1.0 - momentum
-            rm += momentum * mean
-            rv = buffers[upd["running_var"]]
-            rv *= 1.0 - momentum
-            rv += momentum * var * (m / max(m - 1, 1))
 
     def _aligned(self, grads: dict) -> list:
         """Plan gradients in ``optimizer.params`` order (None where absent)."""

@@ -31,6 +31,7 @@ class TestCurveLine:
         line = curve_line("potential", [0.1, 0.9], [0.8, 0.2])
         assert "potential" in line
         assert "0.80" in line and "0.20" in line
+        assert "x=[0.1, 0.9]" in line
 
     def test_empty_series_renders_labelled_row(self):
         line = curve_line("potential", [], [])

@@ -1,5 +1,7 @@
 """Compiled gradient plans: tape parity, fused-kernel gradients, registry smoke."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,58 @@ class TestGradPlanParity:
         assert float(first[0]) == float(second[0])
         for name, grad in first[2].items():
             np.testing.assert_array_equal(grad, second[2][name], err_msg=name)
+
+
+class TestRejectedPlan:
+    def test_broken_backward_falls_back_and_says_why(self, batch, monkeypatch):
+        """A fast plan whose gradient fails both gates is refused: the step
+        runs on the tape, and the fallback event names the parameter and
+        the numbers the gates judged."""
+        from repro import observe
+        from repro.autograd.tensor import Tensor
+        from repro.infer import grad
+        from repro.infer.trainengine import _GRAD_RNORM
+
+        monkeypatch.setenv("REPRO_TRAINC", "1")
+        original = grad.KTABLE_FAST["linear_bwd_w"]
+        monkeypatch.setitem(
+            grad.KTABLE_FAST, "linear_bwd_w", lambda a, p: 2.0 * original(a, p)
+        )
+        events = []
+        monkeypatch.setattr(
+            observe, "event", lambda name, **attrs: events.append((name, attrs))
+        )
+        x, y = batch
+        model, twin = make_tiny_cnn(), make_tiny_cnn()
+        loss_fn = CrossEntropyLoss()
+        engine = TrainEngine(model, loss_fn, SGD(model.parameters(), lr=0.05))
+        loss, _ = engine.step(x, y)
+        assert not engine.compiled_for(x, y)
+
+        # The same step on the tape, by hand: the engine must match it bitwise.
+        twin.train()
+        optimizer = SGD(twin.parameters(), lr=0.05)
+        want = loss_fn(twin(Tensor(x)), y)
+        optimizer.zero_grad()
+        want.backward()
+        optimizer.step()
+        assert loss == float(want.data)
+        for (name, got), ref in zip(
+            model.state_dict().items(), twin.state_dict().values()
+        ):
+            np.testing.assert_array_equal(got, ref, err_msg=name)
+
+        [reason] = [a["reason"] for n, a in events if n == "trainc.fallback"]
+        assert "gradient parity failed for '10.weight'" in reason
+        match = re.search(
+            r"max abs diff (\S+) > bound (\S+), relative l2 diff (\S+) > ([\d.]+)",
+            reason,
+        )
+        assert match, reason
+        diff, bound, rel, rnorm = (float(v) for v in match.groups())
+        assert diff > bound
+        assert rel == pytest.approx(1.0, abs=1e-2)  # doubled gradient
+        assert rnorm == _GRAD_RNORM
 
 
 class TestFusedConvBnReluGradients:
@@ -171,3 +225,10 @@ def test_registry_compiled_step_smoke(name, monkeypatch):
         for k, v in model.state_dict().items()
     )
     assert changed, "compiled step left the model untouched"
+    # Leaves are bound live, which is only safe if no step writes into one:
+    # a direct run leaves the batch, the labels and the model state intact.
+    plan = engine._plans[(x.shape, x.dtype.str, y.shape)]
+    leaves = {"x": x.copy(), "y": y.copy(), **model.state_dict()}
+    plan.run(x, y)
+    for key, value in {"x": x, "y": y, **model.state_dict()}.items():
+        assert value.tobytes() == leaves[key].tobytes(), f"run wrote into {key}"

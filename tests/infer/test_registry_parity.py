@@ -41,7 +41,10 @@ class TestRegistryParity:
         want = module_logits(model, images)  # always eval-mode stats
         model.train(mode == "train")
         engine = InferenceEngine(model, batch_size=len(images))
+        leaves = {"images": images.copy(), **model.state_dict()}
         got = engine.logits(images)
         assert engine.compiled_for(images), f"{name} fell back to module forward"
+        for key, value in {"images": images, **model.state_dict()}.items():
+            assert value.tobytes() == leaves[key].tobytes(), f"forward wrote into {key}"
         assert model.training == (mode == "train")
         assert_parity(got, want)
