@@ -8,12 +8,15 @@ analyses rather than on SGD.
 
 The build fans out across worker processes: parents first, then prune
 runs, with per-artifact file locks so concurrent invocations are safe.
+Both phases run on the durable work queue; a pinned ``--queue-dir`` on a
+shared filesystem lets ``python -m repro worker`` processes on other
+hosts help drain them.
 
 Usage::
 
     python benchmarks/build_zoo.py [--jobs N] [--on-error collect]
     python benchmarks/build_zoo.py --resume <failure-manifest.json>
-    python benchmarks/build_zoo.py --executor queue --queue-dir /shared/q
+    python benchmarks/build_zoo.py --queue-dir /shared/q
 
 ``--jobs 0`` means "all CPUs"; the default honours ``REPRO_NUM_WORKERS``
 and falls back to serial execution.  With ``--on-error collect`` a dead
@@ -95,19 +98,12 @@ def add_resilience_flags(parser: argparse.ArgumentParser) -> None:
         "several manifests are merged and deduplicated",
     )
     parser.add_argument(
-        "--executor",
-        choices=["pool", "queue"],
-        default=None,
-        help="grid backend: in-process pool (default) or the durable work "
-        "queue, which survives crashes and accepts extra "
-        "`python -m repro worker` processes (default: REPRO_EXECUTOR)",
-    )
-    parser.add_argument(
         "--queue-dir",
         default=None,
         metavar="DIR",
-        help="work-queue directory for --executor queue "
-        "(default: derived per grid, or REPRO_QUEUE_DIR)",
+        help="work-queue directory, shared with `python -m repro worker` "
+        "processes on other hosts (default: REPRO_QUEUE_DIR, or derived "
+        "per grid)",
     )
 
 
@@ -133,7 +129,6 @@ def main(argv: list[str] | None = None) -> int:
                 on_error=args.on_error or "collect",
                 max_retries=args.max_retries,
                 cell_timeout=args.cell_timeout,
-                executor=args.executor,
                 queue_dir=args.queue_dir,
             )
         except FileNotFoundError:
@@ -151,7 +146,6 @@ def main(argv: list[str] | None = None) -> int:
             on_error=args.on_error or "raise",
             max_retries=args.max_retries,
             cell_timeout=args.cell_timeout,
-            executor=args.executor,
             queue_dir=args.queue_dir,
         )
     for cell in timing.cells:

@@ -80,25 +80,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="per-cell deadline in seconds (default: REPRO_CELL_TIMEOUT)",
     )
-    _add_executor_flags(parser)
+    _add_queue_dir_flag(parser)
 
 
-def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--executor",
-        choices=["pool", "queue"],
-        default=None,
-        help="grid execution backend: in-process pool (default) or the "
-        "durable work queue, which survives crashes and accepts extra "
-        "`python -m repro worker` processes (default: REPRO_EXECUTOR)",
-    )
+def _add_queue_dir_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--queue-dir",
         default=None,
         metavar="DIR",
-        help="work-queue directory for --executor queue (shared across "
-        "hosts for multi-host runs; default: derived per grid under the "
-        "cache dir, or REPRO_QUEUE_DIR)",
+        help="work-queue directory (shared across hosts so extra "
+        "`python -m repro worker` processes can help; default: "
+        "REPRO_QUEUE_DIR, or derived per grid under the cache dir)",
     )
 
 
@@ -108,7 +100,6 @@ def _resilience_kwargs(args) -> dict:
         "on_error": args.on_error,
         "max_retries": args.max_retries,
         "cell_timeout": args.cell_timeout,
-        "executor": args.executor,
         "queue_dir": args.queue_dir,
     }
 
@@ -145,8 +136,6 @@ def cmd_zoo(args) -> int:
         argv += ["--max-retries", str(args.max_retries)]
     if getattr(args, "cell_timeout", None) is not None:
         argv += ["--cell-timeout", str(args.cell_timeout)]
-    if getattr(args, "executor", None) is not None:
-        argv += ["--executor", args.executor]
     if getattr(args, "queue_dir", None) is not None:
         argv += ["--queue-dir", args.queue_dir]
     for manifest in getattr(args, "resume", None) or []:
@@ -376,12 +365,12 @@ def main(argv: list[str] | None = None) -> int:
         help="recompute only the failed cells of a previous degraded run; "
         "repeatable — several manifests are merged and deduplicated",
     )
-    _add_executor_flags(zoo_parser)
+    _add_queue_dir_flag(zoo_parser)
 
     worker_parser = sub.add_parser(
         "worker",
         help="drain tasks from a durable work-queue directory "
-        "(see --executor queue)",
+        "(see --queue-dir)",
     )
     worker_parser.add_argument(
         "--queue",

@@ -117,7 +117,6 @@ def _evaluate_grid(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> tuple[dict[tuple[int, str], PruneAccuracyCurve], GridTiming]:
     """Build required artifacts, then fan the evaluation cells out.
@@ -137,7 +136,7 @@ def _evaluate_grid(
         zoo_timing = build_zoo(
             zoo_specs, scale, jobs=jobs,
             on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
+            queue_dir=queue_dir,
         )
         failures += zoo_timing.failures
         dead_reps = failed_repetitions(zoo_timing)
@@ -158,7 +157,7 @@ def _evaluate_grid(
         results, eval_failures = dispatch_cells(
             _curve_cell, payloads, keys, jobs=jobs,
             on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
+            queue_dir=queue_dir,
         )
         failures += eval_failures
         wall = elapsed()
@@ -203,7 +202,7 @@ class CorruptionPotentialResult:
 
 
 @memoize(
-    ignore=("jobs", "max_retries", "cell_timeout", "executor", "queue_dir"),
+    ignore=("jobs", "max_retries", "cell_timeout", "queue_dir"),
     normalize={"method_name": canonical_spec},
 )
 def corruption_potential_experiment(
@@ -218,7 +217,6 @@ def corruption_potential_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> CorruptionPotentialResult:
     """Prune potential on nominal, shifted, and every corrupted test set.
@@ -234,7 +232,7 @@ def corruption_potential_experiment(
     grid, timing = _evaluate_grid(
         f"corruption_potential[{task_name}/{model_name}/{method_name}]",
         task_name, model_name, method_name, scale, robust, named_specs, jobs,
-        on_error, max_retries, cell_timeout, executor, queue_dir,
+        on_error, max_retries, cell_timeout, queue_dir,
     )
     potentials = np.full((scale.n_repetitions, len(names)), np.nan)
     curves: dict[str, list[PruneAccuracyCurve]] = {n: [] for n in names}
@@ -274,7 +272,7 @@ class SeveritySweepResult:
 
 
 @memoize(
-    ignore=("jobs", "max_retries", "cell_timeout", "executor", "queue_dir"),
+    ignore=("jobs", "max_retries", "cell_timeout", "queue_dir"),
     normalize={"method_name": canonical_spec},
 )
 def severity_sweep_experiment(
@@ -289,7 +287,6 @@ def severity_sweep_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> SeveritySweepResult:
     """Prune potential of one corruption across severity levels."""
@@ -300,7 +297,7 @@ def severity_sweep_experiment(
     grid, timing = _evaluate_grid(
         f"severity_sweep[{task_name}/{model_name}/{method_name}/{corruption}]",
         task_name, model_name, method_name, scale, False, named_specs, jobs,
-        on_error, max_retries, cell_timeout, executor, queue_dir,
+        on_error, max_retries, cell_timeout, queue_dir,
     )
     potentials = np.full((scale.n_repetitions, len(severities)), np.nan)
     for rep in range(scale.n_repetitions):
@@ -345,7 +342,6 @@ def corruption_excess_error_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> ExcessErrorStudyResult:
     """``ê − e`` per prune ratio, averaged over the corruption suite.
@@ -360,7 +356,7 @@ def corruption_excess_error_experiment(
         task_name, model_name, method_name, scale,
         corruptions=corruptions, robust=robust, jobs=jobs,
         on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-        executor=executor, queue_dir=queue_dir,
+        queue_dir=queue_dir,
     )
     corruption_names = [
         n for n in base.distributions if n not in ("nominal", "shifted")

@@ -27,11 +27,9 @@ def dispatch_cells(
     keys: Sequence[str],
     *,
     jobs: int | None = None,
-    start_method: str | None = None,
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> tuple[list, list[CellFailure]]:
     """Fan a grid's evaluation cells out; returns ``(results, failures)``.
@@ -39,19 +37,17 @@ def dispatch_cells(
     ``results`` is always aligned with ``payloads``: in collect mode a
     dead cell leaves a ``None`` hole (and one :class:`CellFailure`), in
     raise mode the first failure propagates so there are no holes.
-    ``executor="queue"`` routes the cells through the durable work queue
-    (:mod:`repro.queue`) instead of the in-process pool.
+    ``queue_dir`` pins the work-queue directory (see
+    :func:`repro.parallel.parallel_map`).
     """
     out = parallel_map(
         fn,
         list(payloads),
         jobs=jobs,
-        start_method=start_method,
         on_error=on_error,
         max_retries=max_retries,
         timeout=cell_timeout,
         keys=list(keys),
-        executor=executor,
         queue_dir=queue_dir,
     )
     if on_error == "collect":

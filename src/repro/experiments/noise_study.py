@@ -102,7 +102,6 @@ def noise_potential_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> NoisePotentialResult:
     """Evaluate Definition 1 under ℓ∞ noise of growing magnitude.
@@ -121,7 +120,7 @@ def noise_potential_experiment(
         zoo_timing = build_zoo(
             zoo_specs, scale, jobs=jobs,
             on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
+            queue_dir=queue_dir,
         )
         failures += zoo_timing.failures
         dead_reps = failed_repetitions(zoo_timing)
@@ -141,7 +140,7 @@ def noise_potential_experiment(
         results, eval_failures = dispatch_cells(
             _noise_cell, payloads, keys, jobs=jobs,
             on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
+            queue_dir=queue_dir,
         )
         failures += eval_failures
         wall = elapsed()

@@ -94,7 +94,7 @@ def _rep_cell(payload):
 
 
 @memoize(
-    ignore=("jobs", "max_retries", "cell_timeout", "executor", "queue_dir"),
+    ignore=("jobs", "max_retries", "cell_timeout", "queue_dir"),
     normalize={"method_name": canonical_spec},
 )
 def prune_curve_experiment(
@@ -108,7 +108,6 @@ def prune_curve_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> PruneCurveResult:
     """Build (or load) all repetitions and collect the nominal curve.
@@ -128,7 +127,7 @@ def prune_curve_experiment(
         zoo_timing = build_zoo(
             zoo_specs, scale, jobs=jobs,
             on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
+            queue_dir=queue_dir,
         )
         failures += zoo_timing.failures
         dead_reps = failed_repetitions(zoo_timing)
@@ -144,7 +143,7 @@ def prune_curve_experiment(
         results, eval_failures = dispatch_cells(
             _rep_cell, payloads, keys, jobs=jobs,
             on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
+            queue_dir=queue_dir,
         )
         failures += eval_failures
         wall = elapsed()

@@ -56,7 +56,6 @@ def robust_potential_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> RobustPotentialResult:
     """Per-corruption potential of robustly (re-)trained networks."""
@@ -69,7 +68,7 @@ def robust_potential_experiment(
             task_name, model_name, method_name, scale,
             corruptions=corruptions, robust=True, jobs=jobs,
             on_error=on_error, max_retries=max_retries, cell_timeout=cell_timeout,
-            executor=executor, queue_dir=queue_dir,
+            queue_dir=queue_dir,
         )
     return RobustPotentialResult(base=base, protocol=protocol)
 
@@ -85,7 +84,6 @@ def robust_excess_error_experiment(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> ExcessErrorStudyResult:
     """``ê − e`` of robustly trained networks over the held-out corruptions."""
@@ -104,6 +102,5 @@ def robust_excess_error_experiment(
             on_error=on_error,
             max_retries=max_retries,
             cell_timeout=cell_timeout,
-            executor=executor,
             queue_dir=queue_dir,
         )

@@ -45,7 +45,6 @@ def pr_fr_table(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> tuple[list[PruneSummaryRow], str]:
     """Rows + rendered text of the Table 4/6/8 analog.
@@ -61,7 +60,7 @@ def pr_fr_table(
                 task_name, model_name, method_name, scale,
                 jobs=jobs, on_error=on_error,
                 max_retries=max_retries, cell_timeout=cell_timeout,
-                executor=executor, queue_dir=queue_dir,
+                queue_dir=queue_dir,
             )
             rows.append(prune_summary_row(result, scale.delta))
     text = format_table(
@@ -103,7 +102,6 @@ def overparam_table(
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> tuple[list[OverparamRow], str]:
     """Average/minimum prune potential on the train vs test distribution.
@@ -123,7 +121,7 @@ def overparam_table(
             knobs = dict(
                 jobs=jobs, on_error=on_error,
                 max_retries=max_retries, cell_timeout=cell_timeout,
-                executor=executor, queue_dir=queue_dir,
+                queue_dir=queue_dir,
             )
             if robust:
                 result = robust_potential_experiment(

@@ -345,13 +345,11 @@ def build_zoo(
     specs: Sequence[ZooSpec],
     scale: ExperimentScale,
     jobs: int | None = None,
-    start_method: str | None = None,
     *,
     on_error: str = "raise",
     max_retries: int | None = None,
     cell_timeout: float | None = None,
     manifest_dir: str | Path | None = None,
-    executor: str | None = None,
     queue_dir: str | Path | None = None,
 ) -> GridTiming:
     """Materialize every artifact in ``specs`` across ``jobs`` processes.
@@ -374,13 +372,13 @@ def build_zoo(
     ``python -m repro zoo --resume <manifest>`` recomputes only those
     cells.
 
-    ``executor="queue"`` (or ``REPRO_EXECUTOR=queue``) routes both
-    fan-outs through the durable work queue (:mod:`repro.queue`): the
-    build survives driver and worker crashes, a re-run resumes from the
-    journal, and extra ``python -m repro worker`` processes on any host
-    sharing ``queue_dir`` can help drain the grid.  Parents and prune
-    runs use distinct queue namespaces (``queue_dir/parents`` and
-    ``queue_dir/prune``) so the two phases' journals never mix.
+    Both fan-outs run on the durable work queue (:mod:`repro.queue`):
+    the build survives driver and worker crashes, a re-run resumes from
+    the journal, and with a pinned ``queue_dir`` extra ``python -m repro
+    worker`` processes on any host sharing it can help drain the grid.
+    Parents and prune runs use distinct queue namespaces
+    (``queue_dir/parents`` and ``queue_dir/prune``) so the two phases'
+    journals never mix.
     """
     from repro.experiments.grid import persist_manifest
     from repro.resilience import CellFailure
@@ -403,12 +401,10 @@ def build_zoo(
                 _build_cell,
                 [(s, scale) for s in parents],
                 jobs=jobs,
-                start_method=start_method,
                 on_error=on_error,
                 max_retries=max_retries,
                 timeout=cell_timeout,
                 keys=[s.key(scale) for s in parents],
-                executor=executor,
                 queue_dir=parents_queue_dir,
             )
             if collect:
@@ -444,12 +440,10 @@ def build_zoo(
                 _build_cell,
                 [(s, scale) for s in runnable],
                 jobs=jobs,
-                start_method=start_method,
                 on_error=on_error,
                 max_retries=max_retries,
                 timeout=cell_timeout,
                 keys=[s.key(scale) for s in runnable],
-                executor=executor,
                 queue_dir=prune_queue_dir,
             )
             if collect:

@@ -12,10 +12,11 @@ This package records what actually happened:
   counters (cache hits/misses, eval cells), gauges, and histogram
   observations (batches/s, per-layer prune ratios);
 - **run ledger** — every record is one JSON line appended (and flushed)
-  to a per-run ``*.jsonl`` stream.  Worker processes spawned by
-  :mod:`repro.parallel.pool` write sibling ``*.worker-<pid>.jsonl``
-  streams that the parent merges on pool join under the PR-1 file lock,
-  so one file tells the whole multi-process story;
+  to a per-run ``*.jsonl`` stream.  Worker processes started by the
+  grid executor (:mod:`repro.queue.executor`) write sibling
+  ``*.worker-<pid>.jsonl`` streams that the driver merges when the grid
+  ends, under the artifact file lock, so one file tells the whole
+  multi-process story;
 - **trace report** — ``python -m repro trace <run.jsonl>`` renders the
   span tree with timings and metric rollups (:mod:`repro.observe.trace`).
 

@@ -3,8 +3,8 @@
 Everything funnels into :func:`_emit`, which appends one JSON line to the
 process's ledger stream (see :mod:`repro.observe.ledger`).  The module is
 deliberately free of top-level ``repro.*`` imports so any subsystem —
-including :mod:`repro.parallel.pool`, which this package's ledger merge
-relies on — can import it without cycles.
+including the grid executor (:mod:`repro.queue.executor`), which this
+package's ledger merge serves — can import it without cycles.
 
 Process model
 -------------

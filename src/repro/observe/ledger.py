@@ -1,13 +1,13 @@
 """The JSONL run ledger: crash-safe appends and worker-stream merging.
 
 One observation record is one JSON line.  Writers append and flush each
-line, so a crash (or a pool teardown signal) loses at most the line in
+line, so a crash (or a worker teardown signal) loses at most the line in
 flight; :func:`read_events` tolerates a torn final line by skipping
 anything that does not parse.  Worker processes never share a file
 handle with the parent — each writes its own ``*.worker-<pid>.jsonl``
 sibling stream, and :func:`merge_worker_streams` folds those into the
 main ledger under the per-artifact file lock from
-:mod:`repro.parallel.locks` (the parent calls it after every pool join).
+:mod:`repro.parallel.locks` (the driver calls it when every grid ends).
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ def read_events(path: str | Path) -> list[dict]:
 def merge_worker_streams(ledger_path: str | Path | None = None) -> int:
     """Fold ``*.worker-<pid>.jsonl`` streams into the main ledger.
 
-    Called by the parent after each pool join.  The append runs under the
+    Called by the driver when each grid ends.  The append runs under the
     ledger's file lock so two racing parents (e.g. nested grids) cannot
     interleave half-merged streams; merged worker files are removed.
     Returns the number of records merged.  No-op when observation is
@@ -101,8 +101,9 @@ def merge_worker_streams(ledger_path: str | Path | None = None) -> int:
     streams = _worker_streams(ledger_path)
     if not streams:
         return 0
-    # Imported lazily: repro.parallel.pool imports this package at module
-    # level, so a top-level import here would be circular.
+    # Imported lazily: the grid executor (repro.queue.executor) and the
+    # locks' package import this package at module level, so a top-level
+    # import here would be circular.
     from repro.observe.core import dumps
     from repro.parallel.locks import artifact_lock
 

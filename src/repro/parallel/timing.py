@@ -96,9 +96,8 @@ class GridTiming:
         """Emit this grid's summary into the run ledger (no-op when
         observation is disabled); returns self so dispatch sites can chain
         ``GridTiming(...).record()``."""
-        # Lazy import: repro.parallel is imported during repro.observe's
-        # own bootstrap path (via the pool), so a module-level import here
-        # would be circular.
+        # Lazy import: repro.parallel is imported early (the locks back
+        # the serialization layer), so it stays free of repro.observe.
         from repro import observe
 
         observe.event(

@@ -1,28 +1,27 @@
-"""Durable, lease-based work queue for crash-safe multi-worker grids.
+"""Durable, lease-based work queue: the one executor behind every grid.
 
-``repro.parallel`` fans a grid out across the worker processes of *one*
-driver; if that driver dies, the run dies with it, and a second host has
-no way to help.  This package makes the grid itself durable: every cell
-becomes one idempotent task in an append-only JSONL **journal** on a
-shared filesystem, and any number of workers — spawned by the driver,
-started by hand (``python -m repro worker --queue <dir>``), or running
-on another host — claim tasks via **leases** with heartbeat renewal.
+Every cell of a grid becomes one idempotent task in an append-only
+JSONL **journal** on a (possibly shared) filesystem, and workers — the
+driver itself at ``jobs=1``, local worker processes it supervises at
+``jobs>1``, or ``python -m repro worker --queue <dir>`` on another host —
+claim tasks via **leases** with heartbeat renewal.  A driver that dies
+and re-runs re-attaches to the journal and resumes.
 
 - :mod:`repro.queue.journal` — the durable record store: atomic,
   fsync'd appends under the per-artifact file lock, torn-tail-tolerant
   replay, incremental catch-up reads;
 - :mod:`repro.queue.core` — :class:`WorkQueue`, the lease state machine:
-  ``pending → leased → done`` with ``fail``/``reclaim`` returning a task
-  to pending until its lease budget is burned, after which it is
-  **quarantined** as poison with a
-  :class:`~repro.resilience.failures.CellFailure`-compatible record;
+  ``pending → leased → done``; a retryable ``fail`` or a ``reclaim``
+  (lost worker, blown deadline) returns a task to pending after a seeded
+  backoff until its lease budget is burned, anything else **quarantines**
+  it with a :class:`~repro.resilience.failures.CellFailure`-compatible
+  record;
 - :mod:`repro.queue.worker` — the claim → execute → heartbeat →
   complete loop behind ``python -m repro worker``;
-- :mod:`repro.queue.executor` — :func:`queue_map`, the
-  ``executor="queue"`` path of :func:`repro.parallel.parallel_map`:
-  enqueue the cells, supervise local workers, reclaim stale leases, and
-  return the same ``list`` / :class:`~repro.parallel.MapOutcome` shape
-  the in-process pool produces.
+- :mod:`repro.queue.executor` — :func:`parallel_map` (re-exported by
+  :mod:`repro.parallel`): enqueue the cells, run them inline or on
+  supervised local workers, and return a ``list`` or
+  :class:`~repro.queue.executor.MapOutcome`.
 
 Execution is **at-least-once**: a lease reclaimed from a slow-but-alive
 worker can make two workers run one cell concurrently.  That is safe by
@@ -30,8 +29,8 @@ construction — every cell is idempotent and publishes through the
 memo/artifact layer's per-artifact file locks and atomic, fsync'd
 replaces, so duplicated work converges on identical artifacts and the
 journal's first ``done`` wins.  Time only enters through the injectable
-clock seam from :mod:`repro.serve.clock` (wall clock in production,
-:class:`~repro.serve.clock.VirtualClock` in tests), so the whole lease
+clock seam from :mod:`repro.utils.clock` (wall clock in production,
+:class:`~repro.utils.clock.VirtualClock` in tests), so the whole lease
 lifecycle is testable without a single wall sleep.
 """
 
@@ -43,7 +42,7 @@ from repro.queue.core import (
     TaskView,
     WorkQueue,
 )
-from repro.queue.executor import queue_map, resolve_queue_dir
+from repro.queue.executor import parallel_map, resolve_queue_dir
 from repro.queue.journal import Journal
 from repro.queue.worker import WorkerReport, run_worker, task_fn_path
 
@@ -56,7 +55,7 @@ __all__ = [
     "TaskView",
     "WorkQueue",
     "WorkerReport",
-    "queue_map",
+    "parallel_map",
     "resolve_queue_dir",
     "run_worker",
     "task_fn_path",

@@ -5,22 +5,25 @@ State per task (a pure fold over journal records)::
                  claim                    done
     pending  ───────────►  leased  ───────────►  done
        ▲                     │
-       │   fail / reclaim    │  claims < max_leases
-       └─────────────────────┤
-                             │  claims >= max_leases
+       │   fail / reclaim    │  retryable and claims < max_leases
+       └─────────────────────┤  (claimable again after a backoff)
+                             │  otherwise
                              ▼
-                        quarantined
+                        quarantined  ──(next run's enqueue re-arms)──► pending
 
 - ``claim`` hands the oldest pending task to a worker with a lease that
   expires ``lease_seconds`` into the future; ``renew`` (the heartbeat)
   pushes the expiry out while the worker is alive and making progress.
-- ``fail`` (the task function raised) and ``reclaim`` (the lease expired
-  — worker crash, SIGKILL, host loss) return the task to pending, unless
-  the task has already burned ``max_leases`` leases, in which case it is
-  **quarantined** as poison: recorded with the failing error (or the
-  lease loss), surfaced as a
-  :class:`~repro.resilience.failures.CellFailure` so ``--resume``
-  semantics carry over unchanged, and never dispatched again.
+- ``fail`` (the task function raised) and ``reclaim`` (the lease was
+  lost — worker crash, SIGKILL, host loss — or the cell blew its
+  deadline) return the task to pending after a seeded backoff
+  (:class:`~repro.resilience.retry.RetryPolicy`), but only for
+  retryable failures: a deterministic error, or a task that has burned
+  its lease budget, is **quarantined** as poison.  A quarantined task is
+  never dispatched again in this run and surfaces as a
+  :class:`~repro.resilience.failures.CellFailure` saying whether the
+  cell raised, lost its worker or hit its deadline; the next driver run
+  that enqueues it re-arms it with a fresh budget.
 - ``complete`` is accepted even from an expired or reclaimed lease: the
   worker *did* publish its artifact through the atomic memo layer before
   calling, so the work exists and marking it done is strictly correct
@@ -28,7 +31,7 @@ State per task (a pure fold over journal records)::
 
 Every mutation runs under one per-queue file lock: refresh state from the
 journal's new records, apply, append.  Clocks are injectable
-(:mod:`repro.serve.clock`); production uses the epoch wall clock so
+(:mod:`repro.utils.clock`); production uses the epoch wall clock so
 expiries are comparable across hosts, tests use ``VirtualClock``.
 """
 
@@ -39,15 +42,16 @@ import pickle
 import socket
 import zlib
 from base64 import b64decode, b64encode
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from repro import observe
 from repro.parallel.locks import FileLock, atomic_write
 from repro.queue.journal import JOURNAL_NAME, Journal
-from repro.resilience.failures import KIND_QUARANTINE, CellFailure
-from repro.serve.clock import Clock, WallClock
+from repro.resilience.failures import KIND_CRASH, KIND_EXCEPTION, CellFailure
+from repro.resilience.retry import RetryPolicy, is_retryable, is_retryable_type
+from repro.utils.clock import Clock, WallClock
 
 QUEUE_DIR_ENV = "REPRO_QUEUE_DIR"
 LEASE_SECONDS_ENV = "REPRO_LEASE_SECONDS"
@@ -121,15 +125,19 @@ class TaskView:
     fn: str
     payload_b64: str
     order: int
+    max_leases: int
     status: str = PENDING
     claims: int = 0
     lease_id: str | None = None
     worker: str | None = None
+    claimed_at: float | None = None
     expires: float | None = None
+    retry_at: float = 0.0  # backoff: not claimable before this time
+    kind: str = ""
     error_type: str = ""
     error_message: str = ""
     error_traceback: str = ""
-    reclaims: int = 0
+    retryable: bool = True
 
     @property
     def terminal(self) -> bool:
@@ -169,7 +177,11 @@ class WorkQueue:
         self.directory = Path(directory)
         self.clock = clock if clock is not None else WallClock()
         self.lease_seconds = resolve_lease_seconds(lease_seconds)
+        #: Lease budget of tasks this instance enqueues; each task carries
+        #: its own budget in its ``add`` record, so every participant
+        #: (driver, local workers, workers on other hosts) agrees on it.
         self.max_leases = int(max_leases)
+        self.policy = RetryPolicy()
         self.journal = Journal(self.directory / JOURNAL_NAME)
         self._lock = FileLock(self.directory / "queue.lock", timeout=lock_timeout)
         self._tasks: dict[str, TaskView] = {}
@@ -187,6 +199,7 @@ class WorkQueue:
                     fn=str(record.get("fn", "")),
                     payload_b64=str(record.get("payload", "")),
                     order=self._order,
+                    max_leases=int(record.get("leases", self.max_leases)),
                 )
                 self._order += 1
             return
@@ -198,6 +211,7 @@ class WorkQueue:
             task.claims += 1
             task.lease_id = record.get("lease")
             task.worker = record.get("worker")
+            task.claimed_at = float(record.get("ts", 0.0))
             task.expires = float(record.get("expires", 0.0))
         elif op == "renew":
             if task.status == LEASED and task.lease_id == record.get("lease"):
@@ -207,29 +221,28 @@ class WorkQueue:
                 task.status = DONE
                 task.lease_id = None
                 task.expires = None
-        elif op == "fail":
+        elif op in ("fail", "reclaim"):
             if task.status == LEASED and task.lease_id == record.get("lease"):
                 task.status = PENDING
                 task.lease_id = None
                 task.expires = None
+                task.retry_at = float(record.get("retry_at", 0.0))
+            task.kind = str(record.get("kind", ""))
+            task.retryable = bool(record.get("retryable", True))
             task.error_type = str(record.get("error_type", ""))
             task.error_message = str(record.get("message", ""))
             task.error_traceback = str(record.get("traceback", ""))
-        elif op == "reclaim":
-            if task.status == LEASED and task.lease_id == record.get("lease"):
-                task.status = PENDING
-                task.lease_id = None
-                task.expires = None
-                task.reclaims += 1
         elif op == "quarantine":
             if not task.terminal:
                 task.status = QUARANTINED
                 task.lease_id = None
                 task.expires = None
-                if record.get("error_type"):
-                    task.error_type = str(record.get("error_type", ""))
-                    task.error_message = str(record.get("message", ""))
-                    task.error_traceback = str(record.get("traceback", ""))
+        elif op == "rearm":
+            if task.status == QUARANTINED:
+                task.status = PENDING
+                task.claims = 0
+                task.retry_at = 0.0
+                task.max_leases = int(record.get("leases", task.max_leases))
 
     def _refresh(self) -> None:
         for record in self.journal.read_new():
@@ -246,40 +259,58 @@ class WorkQueue:
 
     # ----------------------------------------------------------- enqueue
     def enqueue(self, tasks: Iterable[TaskSpec]) -> int:
-        """Add tasks; keys already present (any state) are skipped.
+        """Add tasks; returns the number of newly added tasks.
 
         Idempotent by key, which is what makes a driver restart safe:
-        re-enqueueing a half-finished grid re-adds nothing, and cells
-        already ``done`` are served from the results directory.
-        Returns the number of newly added tasks.
+        re-enqueueing a half-finished grid re-adds nothing, cells already
+        ``done`` are served from the results directory, and quarantined
+        cells are re-armed with a fresh lease budget.  A known key whose
+        function or payload differs raises ``ValueError``: the directory
+        belongs to another grid, and serving its results would hand this
+        grid another grid's numbers.
         """
         tasks = list(tasks)
         added = 0
         with self._lock:
             self._refresh()
             for spec in tasks:
-                if spec.key in self._tasks:
-                    continue
                 payload = b64encode(
                     pickle.dumps(spec.payload, protocol=pickle.HIGHEST_PROTOCOL)
                 ).decode("ascii")
-                self._append(
-                    {
-                        "op": "add",
-                        "task": spec.key,
-                        "fn": spec.fn,
-                        "payload": payload,
-                    }
-                )
-                added += 1
+                task = self._tasks.get(spec.key)
+                if task is None:
+                    self._append(
+                        {
+                            "op": "add",
+                            "task": spec.key,
+                            "fn": spec.fn,
+                            "payload": payload,
+                            "leases": self.max_leases,
+                        }
+                    )
+                    added += 1
+                    continue
+                if task.fn != spec.fn or not _same_payload(
+                    task.payload_b64, payload, spec.payload
+                ):
+                    raise ValueError(
+                        f"queue {self.directory} already holds task "
+                        f"{spec.key!r} with a different function or payload; "
+                        "two grids must not share one queue directory"
+                    )
+                if task.status == QUARANTINED:
+                    self._append(
+                        {"op": "rearm", "task": spec.key, "leases": self.max_leases}
+                    )
         if added:
             observe.incr("queue.enqueued", value=added)
         return added
 
     # ------------------------------------------------------------- claim
     def claim(self, worker: str | None = None) -> Lease | None:
-        """Claim the oldest pending task, or ``None`` when none is pending.
+        """Claim the oldest claimable task, or ``None`` when none is.
 
+        A pending task is claimable once its retry backoff has passed.
         The lease expires ``lease_seconds`` from now unless renewed; an
         expired lease is reclaimable by anyone driving
         :meth:`reclaim_expired`.
@@ -287,13 +318,17 @@ class WorkQueue:
         worker = worker or default_worker_id()
         with self._lock:
             self._refresh()
-            candidates = [t for t in self._tasks.values() if t.status == PENDING]
+            now = self.clock.now()
+            candidates = [
+                t
+                for t in self._tasks.values()
+                if t.status == PENDING and t.retry_at <= now
+            ]
             if not candidates:
                 return None
             task = min(candidates, key=lambda t: t.order)
             self._lease_seq += 1
             lease_id = f"{worker}.{self._lease_seq}.{task.claims}"
-            now = self.clock.now()
             expires = now + self.lease_seconds
             attempt = task.claims  # 0-based: claims not yet incremented
             self._append(
@@ -371,57 +406,101 @@ class WorkQueue:
             observe.hist("queue.task_seconds", float(seconds))
         return True
 
-    def fail(self, lease: Lease, exc: BaseException | tuple) -> str:
+    def fail(
+        self,
+        lease: Lease,
+        exc: BaseException | tuple,
+        retryable: bool | None = None,
+    ) -> str:
         """Record a task-function failure; returns the task's new status.
 
         ``exc`` is a live exception or an ``(error_type, message,
-        traceback)`` triple.  The task returns to pending unless this
-        burn was its last allowed lease, in which case it is quarantined.
+        traceback)`` triple; ``retryable`` defaults to its
+        :mod:`repro.resilience.retry` classification.  A retryable
+        failure with lease budget left returns the task to pending after
+        a seeded backoff; anything else quarantines it.
         """
         if isinstance(exc, BaseException):
             error = (type(exc).__name__, str(exc), "")
+            if retryable is None:
+                retryable = is_retryable(exc)
         else:
             error = tuple(exc)
         error_type, message, tb = (list(error) + ["", "", ""])[:3]
+        if retryable is None:
+            retryable = is_retryable_type(error_type)
         with self._lock:
             self._refresh()
             task = self._tasks.get(lease.key)
             if task is None or task.terminal:
                 return task.status if task else QUARANTINED
-            self._append(
+            status = self._release(
+                task,
                 {
                     "op": "fail",
                     "task": lease.key,
                     "lease": lease.lease_id,
                     "worker": lease.worker,
+                    "kind": KIND_EXCEPTION,
+                    "retryable": bool(retryable),
                     "error_type": error_type,
                     "message": message,
                     "traceback": tb,
-                }
+                },
             )
-            status = self._maybe_quarantine(task)
         observe.incr("queue.failures")
         return status
 
-    def _maybe_quarantine(self, task: TaskView) -> str:
-        """Under the lock: quarantine a pending task out of lease budget."""
-        if task.status == PENDING and task.claims >= self.max_leases:
-            self._append(
-                {
-                    "op": "quarantine",
-                    "task": task.key,
-                    "leases": task.claims,
-                    "error_type": task.error_type or "LeaseExpired",
-                    "message": task.error_message
-                    or (
-                        f"burned {task.claims} leases without completing "
-                        "(worker crash or lost host)"
-                    ),
-                    "traceback": task.error_traceback,
-                }
+    def _release(self, task: TaskView, record: dict) -> str:
+        """Under the lock: journal the end of a failed lease.
+
+        The task goes back to pending after the policy's seeded backoff
+        when the failure is retryable and budget remains; otherwise it
+        is quarantined.  Returns the task's new status.
+        """
+        retry = record["retryable"] and task.claims < task.max_leases
+        if retry:
+            record["retry_at"] = self.clock.now() + self.policy.backoff(
+                task.claims, task.key
             )
-            observe.incr("queue.quarantines")
+        self._append(record)
+        if task.status == PENDING:
+            if retry:
+                observe.incr("resilience.retry")
+            else:
+                self._append(
+                    {"op": "quarantine", "task": task.key, "leases": task.claims}
+                )
+                observe.incr("queue.quarantines")
+                observe.incr("resilience.failed")
         return task.status
+
+    def _reclaim_where(
+        self, pick: Callable[[TaskView], bool], kind: str, error_type: str, message: str
+    ) -> list[tuple[str, str]]:
+        reclaimed: list[tuple[str, str]] = []
+        with self._lock:
+            self._refresh()
+            for task in list(self._tasks.values()):
+                if task.status != LEASED or not pick(task):
+                    continue
+                status = self._release(
+                    task,
+                    {
+                        "op": "reclaim",
+                        "task": task.key,
+                        "lease": task.lease_id,
+                        "worker": task.worker,
+                        "kind": kind,
+                        "retryable": True,
+                        "error_type": error_type,
+                        "message": message,
+                    },
+                )
+                reclaimed.append((task.key, status))
+        if reclaimed:
+            observe.incr("queue.reclaims", value=len(reclaimed))
+        return reclaimed
 
     def reclaim_expired(self) -> list[tuple[str, str]]:
         """Return expired leases to pending (or quarantine); anyone may call.
@@ -430,27 +509,26 @@ class WorkQueue:
         executor's supervision loop and by idle workers, so a dead
         worker's cells resurface even if the original driver is gone.
         """
-        reclaimed: list[tuple[str, str]] = []
-        with self._lock:
-            self._refresh()
-            now = self.clock.now()
-            for task in list(self._tasks.values()):
-                if task.status != LEASED:
-                    continue
-                if task.expires is not None and task.expires <= now:
-                    self._append(
-                        {
-                            "op": "reclaim",
-                            "task": task.key,
-                            "lease": task.lease_id,
-                            "worker": task.worker,
-                        }
-                    )
-                    status = self._maybe_quarantine(task)
-                    reclaimed.append((task.key, status))
-        if reclaimed:
-            observe.incr("queue.reclaims", value=len(reclaimed))
-        return reclaimed
+        now = self.clock.now()
+        return self._reclaim_where(
+            lambda t: t.expires is not None and t.expires <= now,
+            KIND_CRASH,
+            "LeaseExpired",
+            "lease expired: its worker stopped renewing it (crash or lost host)",
+        )
+
+    def reclaim(
+        self, worker: str, kind: str, error_type: str, message: str
+    ) -> list[tuple[str, str]]:
+        """Reclaim every lease ``worker`` holds, recording why.
+
+        For a supervisor that knows better than the lease clock: its
+        local worker died (``kind="crash"``) or blew a deadline and was
+        terminated (``kind="timeout"``).
+        """
+        return self._reclaim_where(
+            lambda t: t.worker == worker, kind, error_type, message
+        )
 
     # ------------------------------------------------------------ results
     def result_path(self, key: str) -> Path:
@@ -489,16 +567,10 @@ class WorkQueue:
             out[task.status] += 1
         return out
 
-    def outstanding(self) -> int:
-        """Tasks not yet terminal (pending + leased)."""
-        counts = self.counts()
-        return counts[PENDING] + counts[LEASED]
-
     def drained(self) -> bool:
-        return self.outstanding() == 0
-
-    def total_claims(self) -> int:
-        return sum(t.claims for t in self.snapshot().values())
+        """Every task is terminal (done or quarantined)."""
+        counts = self.counts()
+        return counts[PENDING] + counts[LEASED] == 0
 
     def failures(
         self, index_of: Callable[[str], int] | None = None
@@ -508,18 +580,26 @@ class WorkQueue:
         for task in self.snapshot().values():
             if task.status != QUARANTINED:
                 continue
-            index = index_of(task.key) if index_of is not None else -1
             out.append(
                 CellFailure(
                     key=task.key,
-                    index=index,
-                    kind=KIND_QUARANTINE,
+                    index=index_of(task.key) if index_of is not None else -1,
+                    kind=task.kind or KIND_CRASH,
                     error_type=task.error_type or "LeaseExpired",
-                    message=task.error_message
-                    or f"burned {task.claims} leases without completing",
+                    message=task.error_message,
                     attempts=task.claims,
                     remote_traceback=task.error_traceback,
-                    retryable=True,
+                    retryable=task.retryable,
                 )
             )
         return out
+
+
+def _same_payload(stored_b64: str, payload_b64: str, payload: Any) -> bool:
+    """Equal pickles, or (pickling is not canonical) equal values."""
+    if stored_b64 == payload_b64:
+        return True
+    try:
+        return bool(pickle.loads(b64decode(stored_b64)) == payload)
+    except Exception:  # incomparable values (arrays, unpicklable): differ
+        return False

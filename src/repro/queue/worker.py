@@ -14,11 +14,13 @@ driver) pointed at a queue directory.  Its loop:
    order, so a crash between the two re-runs an idempotent cell rather
    than recording a ``done`` with no result.
 
-A task function that raises records a ``fail`` (the queue re-pends or
-quarantines it); a worker that dies records *nothing*, which is the
-point — its lease expires and step 1 of any surviving worker reclaims
-the task.  Chaos (:func:`repro.resilience.chaos.on_queue_task`) injects
-exactly that death, SIGKILL mid-lease, to prove the claim.
+A task function that raises records a ``fail`` (the queue re-pends a
+retryable failure after a backoff and quarantines anything else); a
+worker that dies records *nothing*, which is the point — its lease
+expires (or the supervising driver sees the process exit) and the task
+is reclaimed.  Chaos injects exactly that death, SIGKILL mid-lease
+(:func:`repro.resilience.chaos.on_queue_task`), plus the per-cell
+faults of :func:`repro.resilience.chaos.on_worker_cell`.
 """
 
 from __future__ import annotations
@@ -31,18 +33,18 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro import observe
-from repro.queue.core import Lease, WorkQueue, default_worker_id
+from repro.queue.core import QUARANTINED, Lease, WorkQueue, default_worker_id
 from repro.resilience import chaos
-from repro.serve.clock import Clock
+from repro.resilience.retry import is_retryable
+from repro.utils.clock import Clock
 
 
 def task_fn_path(fn: Callable) -> str:
     """``"module:qualname"`` for a queue-executable callable.
 
     The journal stores functions by import path so any worker process can
-    resolve them; that rules out lambdas, closures, and methods — the
-    same constraint ``multiprocessing`` spawn already imposes on pool
-    workers, checked here eagerly with a round-trip import.
+    resolve them; that rules out lambdas, closures, and methods —
+    checked here eagerly with a round-trip import.
     """
     module = getattr(fn, "__module__", None)
     qualname = getattr(fn, "__qualname__", "")
@@ -141,6 +143,7 @@ def run_worker(
     max_tasks: int | None = None,
     idle_seconds: float = 0.0,
     poll_seconds: float = 0.2,
+    reraise: bool = False,
 ) -> WorkerReport:
     """Drain tasks from a queue until it is empty (or budgets run out).
 
@@ -150,7 +153,9 @@ def run_worker(
     drain, which is how standing workers (``python -m repro worker
     --idle 30``) serve several grids back to back.  ``max_tasks`` bounds
     how many tasks this call may run (tests use it to interleave
-    workers deterministically).
+    workers deterministically).  ``reraise`` re-raises a task's own
+    exception once the failure quarantines it (the inline ``jobs=1``
+    worker of a raise-mode grid).
     """
     if not isinstance(queue, WorkQueue):
         queue = WorkQueue(queue, clock=clock)
@@ -177,11 +182,13 @@ def run_worker(
             queue.clock.sleep(max(poll_seconds, 0.01))
             continue
         idle_since = None
-        _run_one(queue, lease, report)
+        _run_one(queue, lease, report, reraise)
     return report
 
 
-def _run_one(queue: WorkQueue, lease: Lease, report: WorkerReport) -> None:
+def _run_one(
+    queue: WorkQueue, lease: Lease, report: WorkerReport, reraise: bool
+) -> None:
     """Execute one leased task through heartbeat, publish, and complete."""
     started = queue.clock.now()
     try:
@@ -196,11 +203,14 @@ def _run_one(queue: WorkQueue, lease: Lease, report: WorkerReport) -> None:
         else:
             fn = resolve_task_fn(lease.fn)
             with _Heartbeat(queue, lease):
+                chaos.on_worker_cell(lease.key, attempt=lease.attempt)
                 value = fn(lease.payload)
             queue.publish_result(lease.key, value)
     except BaseException as exc:  # noqa: BLE001 — every failure must journal
         status = queue.fail(
-            lease, (type(exc).__name__, str(exc), traceback.format_exc())
+            lease,
+            (type(exc).__name__, str(exc), traceback.format_exc()),
+            retryable=is_retryable(exc),
         )
         report.failed += 1
         observe.event(
@@ -210,8 +220,8 @@ def _run_one(queue: WorkQueue, lease: Lease, report: WorkerReport) -> None:
             error=type(exc).__name__,
             status=status,
         )
-        if not isinstance(exc, Exception):
-            raise  # KeyboardInterrupt / SystemExit: record, then propagate
+        if not isinstance(exc, Exception) or (reraise and status == QUARANTINED):
+            raise  # KeyboardInterrupt / SystemExit always propagate
         return
     seconds = queue.clock.now() - started
     if queue.complete(lease, seconds=seconds):

@@ -19,7 +19,7 @@ instead of aborting on the first fault:
 - :mod:`repro.resilience.resume` — ``--resume <manifest>``: recompute
   only the failed cells of a degraded run against the warm cache.
 
-The execution engine (:mod:`repro.parallel.pool`) consumes retry and
+The grid executor (:mod:`repro.queue.executor`) consumes retry and
 failure records directly; :mod:`repro.experiments.zoo` and the study
 grids add manifest persistence and dependency-aware degradation on top.
 """
@@ -29,7 +29,6 @@ from repro.resilience.failures import (
     KIND_CRASH,
     KIND_DEPENDENCY,
     KIND_EXCEPTION,
-    KIND_QUARANTINE,
     KIND_TIMEOUT,
     CellFailure,
     FailureManifest,
@@ -64,7 +63,6 @@ __all__ = [
     "KIND_CRASH",
     "KIND_TIMEOUT",
     "KIND_DEPENDENCY",
-    "KIND_QUARANTINE",
     "RetryPolicy",
     "MAX_RETRIES_ENV",
     "CELL_TIMEOUT_ENV",

@@ -269,8 +269,8 @@ def _is_owner() -> bool:
 def on_worker_cell(key: str, attempt: int = 0) -> None:
     """Worker-cell entry hook: may raise, hard-exit, or stall.
 
-    Called by the pool (and the serial fallback) with the cell's key and
-    attempt number before running the cell function.
+    Called by the queue worker with the cell's key and attempt number
+    before running the cell function.
     """
     state = _get_state()
     if state is None:

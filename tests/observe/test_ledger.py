@@ -88,7 +88,7 @@ class TestMultiprocessLedger:
     def test_worker_spans_parented_under_parallel_map(self, tmp_path):
         path = observe.configure(dir=tmp_path)
         try:
-            parallel_map(_cell, list(range(4)), jobs=2, start_method="fork")
+            parallel_map(_cell, list(range(4)), jobs=2)
         finally:
             observe.shutdown()
         events = observe.read_events(path)

@@ -1,4 +1,4 @@
-"""The worker pool: chunking, ordering, error propagation, serial fallback."""
+"""The grid executor: results, worker counts, error propagation, inline jobs=1."""
 
 from __future__ import annotations
 
@@ -6,15 +6,8 @@ import multiprocessing
 
 import pytest
 
-from repro.parallel import (
-    WorkerError,
-    WorkerPool,
-    default_chunksize,
-    parallel_map,
-    resolve_jobs,
-    resolve_start_method,
-)
-from repro.parallel.pool import _chunked
+from repro.parallel import WorkerError, parallel_map, resolve_jobs
+from repro.queue import executor
 
 
 def _square(x):
@@ -61,32 +54,10 @@ class TestResolveJobs:
 
 class TestStartMethod:
     def test_resolves_to_available(self):
-        assert resolve_start_method() in multiprocessing.get_all_start_methods()
-
-    def test_env_override(self, monkeypatch):
-        method = multiprocessing.get_all_start_methods()[0]
-        monkeypatch.setenv("REPRO_MP_START", method)
-        assert resolve_start_method() == method
-
-    def test_unavailable_raises(self):
-        with pytest.raises(ValueError, match="unavailable"):
-            resolve_start_method("frobnicate")
-
-
-class TestChunking:
-    def test_chunked_covers_all_items(self):
-        items = list(range(10))
-        chunks = _chunked(items, 3)
-        assert [start for start, _ in chunks] == [0, 3, 6, 9]
-        assert [x for _, chunk in chunks for x in chunk] == items
-
-    def test_chunksize_larger_than_items(self):
-        assert _chunked([1, 2], 100) == [(0, [1, 2])]
-
-    def test_default_chunksize_bounds(self):
-        assert default_chunksize(0, 4) == 1
-        assert default_chunksize(100, 4) == 7  # ceil(100 / 16)
-        assert default_chunksize(3, 8) == 1
+        # Decided by the platform, with no option: fork where it exists.
+        available = multiprocessing.get_all_start_methods()
+        assert executor._START_METHOD in available
+        assert executor._START_METHOD == ("fork" if "fork" in available else "spawn")
 
 
 class TestParallelMap:
@@ -95,18 +66,6 @@ class TestParallelMap:
         expected = [_square(x) for x in items]
         assert parallel_map(_square, items, jobs=1) == expected
         assert parallel_map(_square, items, jobs=2) == expected
-
-    @pytest.mark.parametrize("chunksize", [1, 2, 5, 100])
-    def test_chunksize_variants(self, chunksize):
-        items = list(range(11))
-        assert parallel_map(_square, items, jobs=2, chunksize=chunksize) == [
-            x * x for x in items
-        ]
-
-    def test_unordered_same_multiset(self):
-        items = list(range(17))
-        result = parallel_map(_square, items, jobs=2, ordered=False, chunksize=2)
-        assert sorted(result) == sorted(x * x for x in items)
 
     def test_empty_items(self):
         assert parallel_map(_square, [], jobs=4) == []
@@ -123,7 +82,7 @@ class TestParallelMap:
 
     def test_worker_error_carries_traceback(self):
         with pytest.raises(WorkerError) as excinfo:
-            parallel_map(_boom, list(range(6)), jobs=2, chunksize=1)
+            parallel_map(_boom, list(range(6)), jobs=2)
         message = str(excinfo.value)
         assert "ValueError" in message
         assert "bad item 3" in message
@@ -146,24 +105,10 @@ class TestParallelMap:
         assert clone.remote_traceback == err.remote_traceback
 
     @pytest.mark.tier2
-    def test_spawn_start_method_safe(self):
+    def test_spawn_start_method_safe(self, monkeypatch):
+        """The spawn fallback (platforms without fork): workers re-import
+        everything and still open the queue and resolve the cell."""
         if "spawn" not in multiprocessing.get_all_start_methods():
             pytest.skip("spawn unavailable")
-        # Builtin callable: picklable regardless of test-module import paths.
-        assert parallel_map(abs, [-2, -1, 0, 1], jobs=2, start_method="spawn") == [
-            2, 1, 0, 1,
-        ]
-
-
-class TestWorkerPool:
-    def test_map(self):
-        pool = WorkerPool(jobs=2)
-        assert pool.map(_square, [1, 2, 3]) == [1, 4, 9]
-
-    def test_map_unordered(self):
-        pool = WorkerPool(jobs=2, chunksize=1)
-        assert sorted(pool.map_unordered(_square, range(5))) == [0, 1, 4, 9, 16]
-
-    def test_resolves_jobs_eagerly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUM_WORKERS", "3")
-        assert WorkerPool().jobs == 3
+        monkeypatch.setattr(executor, "_START_METHOD", "spawn")
+        assert parallel_map(abs, [-2, -1, 0, 1], jobs=2) == [2, 1, 0, 1]

@@ -7,12 +7,9 @@ import time
 
 import pytest
 
-from repro.parallel import MapOutcome, WorkerError, WorkerPool, parallel_map
-from repro.resilience import KIND_CRASH, KIND_EXCEPTION, KIND_TIMEOUT, RetryPolicy
+from repro.parallel import MapOutcome, WorkerError, parallel_map
+from repro.resilience import KIND_CRASH, KIND_EXCEPTION, KIND_TIMEOUT
 from repro.resilience import chaos
-
-#: Zero-sleep policy so retry tests don't wait out real backoff delays.
-FAST = RetryPolicy(max_retries=2, base_delay=0.0, jitter=0.0)
 
 
 @pytest.fixture(autouse=True)
@@ -70,16 +67,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="fn must be callable"):
             parallel_map("not a function", [1, 2])
 
-    @pytest.mark.parametrize("chunksize", [0, -1, -100])
-    def test_chunksize_must_be_positive(self, chunksize):
-        with pytest.raises(ValueError, match="chunksize must be >= 1"):
-            parallel_map(_ident, [1, 2], jobs=2, chunksize=chunksize)
-
-    @pytest.mark.parametrize("chunksize", [1.5, "2", True])
-    def test_chunksize_must_be_a_real_int(self, chunksize):
-        with pytest.raises(ValueError, match="chunksize must be an int"):
-            parallel_map(_ident, [1, 2], jobs=2, chunksize=chunksize)
-
     def test_on_error_vocabulary(self):
         with pytest.raises(ValueError, match="on_error"):
             parallel_map(_ident, [1, 2], on_error="ignore")
@@ -87,6 +74,10 @@ class TestValidation:
     def test_keys_length_mismatch(self):
         with pytest.raises(ValueError, match="keys has 2 entries for 3 items"):
             parallel_map(_ident, [1, 2, 3], keys=["a", "b"])
+
+    def test_keys_must_be_unique(self):
+        with pytest.raises(ValueError, match="unique cell keys"):
+            parallel_map(_ident, [1, 2], keys=["a", "a"])
 
     def test_keys_callable(self, tmp_path):
         out = parallel_map(
@@ -119,16 +110,14 @@ class TestCollectSerial:
         assert not failure.retryable  # deterministic: never retried
         assert "_boom_on_two" in failure.remote_traceback
 
-    def test_unordered_collect_drops_holes(self):
+    def test_deterministic_error_is_not_retried(self):
         out = parallel_map(
-            _boom_on_two,
-            [1, 2, 3],
-            jobs=1,
-            ordered=False,
-            on_error="collect",
-            max_retries=0,
+            _boom_on_two, [1, 2, 3], jobs=1, on_error="collect", max_retries=2
         )
-        assert sorted(out.results) == [10, 30]
+        assert out.results == [10, None, 30]
+        assert out.retries == 0
+        (failure,) = out.failures
+        assert failure.attempts == 1 and not failure.retryable
 
     def test_all_ok_outcome(self):
         out = parallel_map(_ident, [1, 2], jobs=1, on_error="collect")
@@ -140,7 +129,6 @@ class TestCollectSerial:
             [(str(tmp_path / "marker"), 4)],
             jobs=1,
             on_error="collect",
-            retry_policy=FAST,
         )
         assert out.ok
         assert out.results == [40]
@@ -152,19 +140,17 @@ class TestCollectSerial:
             [7],
             jobs=1,
             on_error="collect",
-            retry_policy=FAST,
             max_retries=1,
         )
         (failure,) = out.failures
+        assert failure.kind == KIND_EXCEPTION
         assert failure.attempts == 2  # first try + one retry
         assert failure.retryable
         assert out.retries == 1
 
     def test_raise_mode_propagates_after_retries(self, tmp_path):
         with pytest.raises(OSError, match="permanently flaky"):
-            parallel_map(
-                _always_oserror, [7], jobs=1, retry_policy=FAST, max_retries=1
-            )
+            parallel_map(_always_oserror, [7], jobs=1, max_retries=1)
 
     def test_env_retry_budget_honoured(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
@@ -183,7 +169,6 @@ class TestCollectParallel:
             _boom_on_two,
             [1, 2, 3, 4],
             jobs=2,
-            chunksize=1,
             on_error="collect",
             max_retries=0,
         )
@@ -194,16 +179,14 @@ class TestCollectParallel:
 
     def test_raise_mode_wraps_in_worker_error(self):
         with pytest.raises(WorkerError, match="bad item 2"):
-            parallel_map(_boom_on_two, [1, 2, 3, 4], jobs=2, chunksize=1)
+            parallel_map(_boom_on_two, [1, 2, 3, 4], jobs=2)
 
     def test_crash_recovers_via_retry(self, tmp_path):
         out = parallel_map(
             _crash_once,
             [(str(tmp_path / "marker"), 4)] + [(str(tmp_path / "ok"), 5)],
             jobs=2,
-            chunksize=1,
             on_error="collect",
-            retry_policy=FAST,
         )
         # Marker "ok" never exists either — both cells crash once, then
         # succeed on their retry in a fresh worker.
@@ -218,9 +201,7 @@ class TestCollectParallel:
             _crash_always,
             [0, 1],
             jobs=2,
-            chunksize=1,
             on_error="collect",
-            retry_policy=FAST,
             max_retries=1,
         )
         assert out.results == [None, None]
@@ -239,7 +220,6 @@ class TestCollectParallel:
             _sleep_forever,
             [0, 1, 2],
             jobs=2,
-            chunksize=1,
             on_error="collect",
             timeout=1.0,
             max_retries=0,
@@ -254,16 +234,3 @@ class TestCollectParallel:
 
 def _crash_always(x):
     os._exit(23)
-
-
-class TestWorkerPoolResilience:
-    def test_pool_carries_collect_mode(self):
-        pool = WorkerPool(jobs=1, on_error="collect", max_retries=0)
-        out = pool.map(_boom_on_two, [1, 2, 3])
-        assert isinstance(out, MapOutcome)
-        assert out.failed_indices == [1]
-
-    def test_per_call_override(self):
-        pool = WorkerPool(jobs=1, on_error="collect", max_retries=0)
-        with pytest.raises(ValueError, match="bad item 2"):
-            pool.map(_boom_on_two, [1, 2, 3], on_error="raise")

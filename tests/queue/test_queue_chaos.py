@@ -2,7 +2,7 @@
 
 Tier-1 covers the injection site inline (owner-degraded ChaosError on a
 VirtualClock).  The tier-2 test is the acceptance scenario: a MICRO zoo
-grid through ``executor="queue"`` with two subprocess workers where
+grid on the work queue with two local worker processes where
 chaos SIGKILLs every first lease — the supervisor must reclaim and
 respawn until the grid completes with zero lost cells, and the artifacts
 must be bitwise identical to an undisturbed single-process build.
@@ -20,7 +20,7 @@ from repro.queue import TaskSpec, WorkQueue, run_worker, task_fn_path
 from repro.queue.core import DONE, QUARANTINED
 from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError
-from repro.serve.clock import VirtualClock
+from repro.utils.clock import VirtualClock
 
 MICRO = SMOKE.with_(
     n_train=48, n_test=24, image_size=8, num_classes=4, base_width=2,
@@ -93,19 +93,19 @@ def _journal_ops(queue_dir, op):
 @pytest.mark.tier2
 class TestLeaseKillEndToEnd:
     def test_sigkilled_workers_lose_no_cells(self, tmp_path, monkeypatch):
-        """Acceptance: two subprocess workers, every first lease SIGKILLed
+        """Acceptance: two worker processes, every first lease SIGKILLed
         mid-cell; the grid completes, nothing is lost, and the artifacts
         match an undisturbed single-process build bit for bit."""
         specs = [ZooSpec("cifar", "resnet20", m, 0) for m in ("wt", "ft")]
 
-        # Baseline: single-process in-pool build, no chaos.
+        # Baseline: single-process (inline worker) build, no chaos.
         baseline_cache = tmp_path / "baseline"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(baseline_cache))
         zoo.build_zoo(specs, MICRO, jobs=1)
         baseline = _artifact_digests(baseline_cache)
         assert len(baseline) == 3  # parent + wt + ft
 
-        # Chaos build: subprocess workers inherit the exported plan and,
+        # Chaos build: worker processes inherit the exported plan and,
         # not being the chaos owner, really SIGKILL themselves on every
         # first lease.  Short leases keep reclamation fast.
         chaos_cache = tmp_path / "chaos"
@@ -113,9 +113,7 @@ class TestLeaseKillEndToEnd:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(chaos_cache))
         monkeypatch.setenv("REPRO_LEASE_SECONDS", "2.0")
         chaos.configure(lease_kill_rate=1.0, seed=7, first_attempts_only=1)
-        timing = zoo.build_zoo(
-            specs, MICRO, jobs=2, executor="queue", queue_dir=queue_dir,
-        )
+        timing = zoo.build_zoo(specs, MICRO, jobs=2, queue_dir=queue_dir)
         chaos.disable()
 
         assert not timing.degraded  # zero lost cells

@@ -1,6 +1,7 @@
 """WorkQueue lease state machine, entirely on a VirtualClock — no wall
-sleeps: claim → heartbeat → expiry → reclaim → quarantine, stale-lease
-completion, idempotent enqueue, and cross-instance journal replay."""
+sleeps: claim → heartbeat → expiry → reclaim → backoff → quarantine,
+stale-lease completion, idempotent enqueue, and cross-instance journal
+replay."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from repro.queue.core import (
     QUARANTINED,
     resolve_lease_seconds,
 )
-from repro.resilience.failures import KIND_QUARANTINE
-from repro.serve.clock import VirtualClock
+from repro.resilience.failures import KIND_CRASH, KIND_EXCEPTION, KIND_TIMEOUT
+from repro.utils.clock import VirtualClock
 
 
 def make_queue(tmp_path, clock=None, **kw):
@@ -41,8 +42,35 @@ class TestEnqueue:
         lease = queue.claim(worker="w")
         queue.publish_result(lease.key, 2.0)
         queue.complete(lease)
-        assert queue.enqueue([TaskSpec(key="cell-a", fn="math:sqrt")]) == 0
+        assert queue.enqueue([TaskSpec(key="cell-a", fn="math:sqrt", payload=4.0)]) == 0
         assert queue.counts()[DONE] == 1
+
+    def test_known_key_with_another_payload_is_rejected(self, tmp_path):
+        queue = make_queue(tmp_path)
+        enqueue_one(queue, payload=4.0)
+        with pytest.raises(ValueError, match="different function or payload"):
+            enqueue_one(queue, payload=9.0)
+        with pytest.raises(ValueError, match="different function or payload"):
+            queue.enqueue([TaskSpec(key="cell-a", fn="math:exp", payload=4.0)])
+
+    def test_equal_payload_pickled_differently_is_the_same_task(self, tmp_path):
+        # Pickle memoizes shared objects, so equal values can pickle to
+        # different bytes (one string twice vs two equal strings).
+        queue = make_queue(tmp_path)
+        first, second = "".join(["w", "t"]), "".join(["w", "t"])
+        queue.enqueue([TaskSpec(key="k", fn="math:sqrt", payload=(first, first))])
+        assert queue.enqueue(
+            [TaskSpec(key="k", fn="math:sqrt", payload=(first, second))]
+        ) == 0
+
+    def test_enqueue_rearms_a_quarantined_task(self, tmp_path):
+        queue = make_queue(tmp_path, max_leases=1)
+        enqueue_one(queue)
+        queue.fail(queue.claim(worker="w"), ValueError("bad payload"))
+        assert queue.counts()[QUARANTINED] == 1
+        assert queue.enqueue([TaskSpec(key="cell-a", fn="math:sqrt", payload=4.0)]) == 0
+        retry = queue.claim(worker="w")
+        assert retry.key == "cell-a" and retry.attempt == 0  # fresh budget
 
     def test_payload_round_trips_through_pickle(self, tmp_path):
         queue = make_queue(tmp_path)
@@ -91,6 +119,8 @@ class TestLeaseLifecycle:
         clock.sleep(10.0)  # expiry is inclusive: expires <= now
         assert queue.reclaim_expired() == [("cell-a", PENDING)]
         assert queue.renew(lease) is None  # original lease is dead
+        assert queue.claim(worker="w2") is None  # still backing off
+        clock.sleep(1.0)
         replacement = queue.claim(worker="w2")
         assert replacement.key == "cell-a"
         assert replacement.attempt == 1
@@ -116,7 +146,8 @@ class TestLeaseLifecycle:
         stale = queue.claim(worker="slow")
         clock.sleep(10.0)
         queue.reclaim_expired()
-        queue.claim(worker="fast")  # second holder, mid-flight
+        clock.sleep(1.0)  # past the retry backoff
+        assert queue.claim(worker="fast") is not None  # second holder, mid-flight
         queue.publish_result(stale.key, 2.0)
         assert queue.complete(stale) is True
         assert queue.counts()[DONE] == 1
@@ -128,6 +159,7 @@ class TestLeaseLifecycle:
         stale = queue.claim(worker="slow")
         clock.sleep(10.0)
         queue.reclaim_expired()
+        clock.sleep(1.0)  # past the retry backoff
         fresh = queue.claim(worker="fast")
         queue.publish_result(fresh.key, 2.0)
         assert queue.complete(fresh) is True
@@ -143,7 +175,10 @@ class TestQuarantine:
             assert queue.claim(worker="w") is not None
             clock.sleep(10.0)
             reclaimed = queue.reclaim_expired()
+            clock.sleep(1.0)  # past the retry backoff
         assert reclaimed == [("cell-a", QUARANTINED)]
+        [failure] = queue.failures()
+        assert (failure.kind, failure.error_type) == (KIND_CRASH, "LeaseExpired")
         assert queue.claim(worker="w") is None  # poison: never re-leased
         assert queue.drained()  # quarantined counts as terminal
 
@@ -153,22 +188,50 @@ class TestQuarantine:
         enqueue_one(queue)
         for _ in range(2):
             lease = queue.claim(worker="w")
-            status = queue.fail(lease, ValueError("bad payload"))
+            status = queue.fail(lease, OSError("disk hiccup"))
+            clock.sleep(1.0)  # past the retry backoff
         assert status == QUARANTINED
         [failure] = queue.failures()
-        assert failure.kind == KIND_QUARANTINE
-        assert failure.error_type == "ValueError"
-        assert failure.message == "bad payload"
+        assert failure.kind == KIND_EXCEPTION
+        assert failure.error_type == "OSError"
+        assert failure.message == "disk hiccup"
         assert failure.attempts == 2
         assert failure.retryable is True
 
-    def test_fail_below_budget_returns_to_pending(self, tmp_path):
+    def test_deterministic_failure_quarantines_at_once(self, tmp_path):
         queue = make_queue(tmp_path, max_leases=3)
         enqueue_one(queue)
         lease = queue.claim(worker="w")
-        assert queue.fail(lease, RuntimeError("transient")) == PENDING
+        assert queue.fail(lease, ValueError("bad payload")) == QUARANTINED
+        [failure] = queue.failures()
+        assert failure.attempts == 1 and failure.retryable is False
+
+    def test_fail_below_budget_returns_to_pending(self, tmp_path):
+        clock = VirtualClock()
+        queue = make_queue(tmp_path, clock, max_leases=3)
+        enqueue_one(queue)
+        lease = queue.claim(worker="w")
+        assert queue.fail(lease, OSError("transient")) == PENDING
+        clock.sleep(1.0)  # past the retry backoff
         retry = queue.claim(worker="w")
         assert retry.key == "cell-a" and retry.attempt == 1
+
+    def test_supervisor_reclaim_records_its_cause(self, tmp_path):
+        clock = VirtualClock()
+        queue = make_queue(tmp_path, clock, max_leases=1)
+        enqueue_one(queue, "k0")
+        enqueue_one(queue, "k1")
+        queue.claim(worker="dead")
+        queue.claim(worker="hung")
+        assert queue.reclaim("dead", KIND_CRASH, "WorkerCrashError", "exit 9") == [
+            ("k0", QUARANTINED)
+        ]
+        queue.reclaim("hung", KIND_TIMEOUT, "TimeoutError", "past its deadline")
+        kinds = {f.key: (f.kind, f.error_type) for f in queue.failures()}
+        assert kinds == {
+            "k0": (KIND_CRASH, "WorkerCrashError"),
+            "k1": (KIND_TIMEOUT, "TimeoutError"),
+        }
 
     def test_quarantine_failure_carries_index_mapping(self, tmp_path):
         clock = VirtualClock()

@@ -10,7 +10,7 @@ import pytest
 from repro.queue import TaskSpec, WorkQueue, run_worker, task_fn_path
 from repro.queue.core import DONE, PENDING, QUARANTINED
 from repro.queue.worker import resolve_task_fn
-from repro.serve.clock import VirtualClock
+from repro.utils.clock import VirtualClock
 
 CALLS = []
 
@@ -24,6 +24,11 @@ def record_call(payload):
 def always_fails(payload):
     """Module-level task that deterministically raises."""
     raise ValueError(f"cannot process {payload!r}")
+
+
+def always_flaky(payload):
+    """Module-level task that raises a retryable error on every attempt."""
+    raise OSError(f"transient hiccup on {payload!r}")
 
 
 @pytest.fixture(autouse=True)
@@ -79,13 +84,28 @@ class TestRunWorker:
 
     def test_failing_task_is_retried_then_quarantined(self, tmp_path):
         queue = make_queue(tmp_path, max_leases=2)
-        queue.enqueue([TaskSpec(key="bad", fn=task_fn_path(always_fails))])
+        queue.enqueue([TaskSpec(key="bad", fn=task_fn_path(always_flaky))])
         report = run_worker(queue, worker_id="w")
         assert report.failed == 2  # two leases burned, then poison
         assert queue.counts()[QUARANTINED] == 1
         [failure] = queue.failures()
-        assert failure.error_type == "ValueError"
+        assert failure.error_type == "OSError"
         assert "traceback" in failure.remote_traceback.lower()
+
+    def test_deterministic_failure_is_not_retried(self, tmp_path):
+        queue = make_queue(tmp_path, max_leases=3)
+        queue.enqueue([TaskSpec(key="bad", fn=task_fn_path(always_fails))])
+        report = run_worker(queue, worker_id="w")
+        assert report.failed == 1
+        [failure] = queue.failures()
+        assert failure.error_type == "ValueError" and failure.attempts == 1
+
+    def test_reraise_surfaces_the_quarantined_error(self, tmp_path):
+        queue = make_queue(tmp_path)
+        queue.enqueue([TaskSpec(key="bad", fn=task_fn_path(always_fails), payload=7)])
+        with pytest.raises(ValueError, match="cannot process 7"):
+            run_worker(queue, worker_id="w", reraise=True)
+        assert queue.counts()[QUARANTINED] == 1
 
     def test_max_tasks_bounds_one_invocation(self, tmp_path):
         queue = make_queue(tmp_path)

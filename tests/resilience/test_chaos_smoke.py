@@ -10,12 +10,14 @@ from __future__ import annotations
 import pytest
 
 from repro.parallel import parallel_map
-from repro.resilience import RetryPolicy, chaos
+from repro.resilience import chaos
 from repro.resilience.chaos import ChaosError
 
 
 @pytest.fixture(autouse=True)
-def chaos_isolation(monkeypatch):
+def chaos_isolation(monkeypatch, tmp_path):
+    # Failed grids keep their queue journal: keep it out of the shared cache.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv(chaos.ENV_VAR, raising=False)
     monkeypatch.delenv(chaos.OWNER_ENV, raising=False)
     chaos.disable()
@@ -36,7 +38,7 @@ def test_injected_exceptions_recover_on_retry():
         list(range(6)),
         jobs=1,
         on_error="collect",
-        retry_policy=RetryPolicy(max_retries=1, base_delay=0.0, jitter=0.0),
+        max_retries=1,
     )
     assert out.ok
     assert out.results == [0, 2, 4, 6, 8, 10]
@@ -50,7 +52,7 @@ def test_exhausted_chaos_lands_in_the_failure_record():
         [1],
         jobs=1,
         on_error="collect",
-        retry_policy=RetryPolicy(max_retries=1, base_delay=0.0, jitter=0.0),
+        max_retries=1,
     )
     assert not out.ok
     (failure,) = out.failures
@@ -65,5 +67,5 @@ def test_raise_mode_surfaces_the_chaos_error():
             _double,
             [1],
             jobs=1,
-            retry_policy=RetryPolicy(max_retries=0, base_delay=0.0, jitter=0.0),
+            max_retries=0,
         )
