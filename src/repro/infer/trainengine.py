@@ -15,6 +15,15 @@ Correctness machinery:
   running-stat updates must agree (bitwise in exact mode, within a
   scale-aware tolerance in fast mode); the reference pass snapshots and
   restores gradients and buffers, so validation is side-effect free;
+- a fast plan the float32 tape refuses is judged once more, by the same
+  checks and bounds, against a tape step on a throwaway float64 copy of
+  the model, and accepted only if it passes every check there (a ReLU
+  gate whose float32 pre-activation rounds across zero puts the float32
+  tape, not the plan, off the gradient); exact mode never takes this
+  path, and passing plans never pay for it;
+- a parity refusal lasts one training phase: :func:`train_engine_for`
+  re-judges the shape on the next phase's probe batch, while an
+  untraceable model stays on the tape for good;
 - parameters and buffers are bound *live* on every run (SGD mutates them
   each batch), so there is no constant refresh or content signature; the
   only cached-plan staleness hazard is mask *topology* — pruning a
@@ -29,6 +38,7 @@ Correctness machinery:
 
 from __future__ import annotations
 
+import copy
 import os
 import weakref
 
@@ -103,13 +113,51 @@ def _grad_gap(got, want, exact: bool) -> str:
     diff, bound = _abs_gap(got, want)
     if exact:
         return f"max abs diff {diff:.3g}, exact mode allows none"
-    rel = float(np.linalg.norm((got - want).ravel())) / (
-        float(np.linalg.norm(want.ravel())) + _GRAD_ATOL
-    )
+    rel = _gaps(got, want)["rel_l2_diff"]
     return (
         f"max abs diff {diff:.3g} > bound {bound:.3g}, "
         f"relative l2 diff {rel:.3g} > {_GRAD_RNORM:g}"
     )
+
+
+def _first_failure(comparisons: list[tuple], exact: bool):
+    """``(index, reason)`` of the first failed ``(kind, name, got, want)``
+    comparison, or None when all pass."""
+    for i, (kind, name, got, want) in enumerate(comparisons):
+        if kind != "gradient":
+            if not _close(got, want, exact):
+                return i, f"{kind} parity failed for {name!r}"
+        elif (got is None) != (want is None):
+            return i, f"gradient presence mismatch for {name!r}"
+        elif want is not None and not _grad_close(got, want, exact):
+            return i, (
+                f"gradient parity failed for {name!r}: "
+                + _grad_gap(got, want, exact)
+            )
+    return None
+
+
+def _gaps(got, want) -> dict:
+    """Max abs and relative-l2 difference of ``got`` from ``want``."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    return {
+        "max_abs_diff": float(np.abs(got - want).max()) if got.size else 0.0,
+        "rel_l2_diff": float(np.linalg.norm((got - want).ravel()))
+        / (float(np.linalg.norm(want.ravel())) + _GRAD_ATOL),
+    }
+
+
+def _float64_twin(model: Module) -> Module:
+    """A throwaway float64 copy of ``model``: parameters, buffers, masks."""
+    twin = copy.deepcopy(model)
+    for p in twin.parameters():
+        p.data, p.grad = p.data.astype(np.float64), None
+    for module in twin.modules():
+        for name, buf in list(module._buffers.items()):
+            if np.issubdtype(buf.dtype, np.floating):
+                module.set_buffer(name, buf.astype(np.float64))
+    return twin
 
 
 def _update_running_stats(buffers: dict, bn_updates: list, stats) -> None:
@@ -156,28 +204,31 @@ class TrainEngine:
         self.loss_fn = loss_fn
         self.optimizer = optimizer
         self.exact = exact
-        # (x shape, x dtype, y shape) -> GradPlan | None (None: tape forever)
+        # (x shape, x dtype, y shape) -> GradPlan | None (None: tape)
         self._plans: dict[tuple, GradPlan | None] = {}
+        # The None entries a parity check refused; a new phase re-judges them.
+        self._parity_rejected: set[tuple] = set()
         self._masks: tuple | None = None
 
     # -------------------------------------------------------------- compile
 
-    def _tape_reference(self, x: np.ndarray, y: np.ndarray):
+    def _tape_reference(self, x: np.ndarray, y: np.ndarray, model=None):
         """One tape step's outputs without its side effects.
 
         Returns ``(loss, logits, grads, stat_buffers)``; parameter ``grad``
         slots and every model buffer are restored before returning, and the
-        optimizer is never stepped.
+        optimizer is never stepped.  ``model`` defaults to the engine's.
         """
-        params = list(self.model.named_parameters())
+        model = self.model if model is None else model
+        params = list(model.named_parameters())
         saved = [p.grad for _, p in params]
-        snapshot = {name: buf.copy() for name, buf in self.model.named_buffers()}
-        was_training = self.model.training
-        self.model.train()
+        snapshot = {name: buf.copy() for name, buf in model.named_buffers()}
+        was_training = model.training
+        model.train()
         try:
             for _, p in params:
                 p.grad = None
-            logits = self.model(Tensor(x))
+            logits = model(Tensor(x))
             loss = self.loss_fn(logits, y)
             loss.backward()
             grads = {
@@ -185,34 +236,33 @@ class TrainEngine:
                 for name, p in params
             }
             stat_buffers = {
-                name: buf.copy() for name, buf in self.model.named_buffers()
+                name: buf.copy() for name, buf in model.named_buffers()
             }
             return float(loss.data), logits.data.copy(), grads, stat_buffers
         finally:
-            self.model.train(was_training)
+            model.train(was_training)
             for (_, p), grad in zip(params, saved):
                 p.grad = grad
-            for name, buf in self.model.named_buffers():
+            for name, buf in model.named_buffers():
                 buf[...] = snapshot[name]
 
-    def _validate(self, plan: GradPlan, x: np.ndarray, y: np.ndarray) -> None:
-        want_loss, want_logits, want_grads, want_buffers = self._tape_reference(x, y)
-        loss, logits, grads, stats = plan.run(x, y)
-        if not _close(loss, want_loss, plan.exact):
-            raise CompileError(f"loss parity: {float(loss)} vs {want_loss}")
-        if not _close(logits, want_logits, plan.exact):
-            raise CompileError("logits parity failed")
-        for name, want in want_grads.items():
-            got = grads.get(name)
-            if (got is None) != (want is None):
-                raise CompileError(f"gradient presence mismatch for {name!r}")
-            if want is not None and not _grad_close(got, want, plan.exact):
-                raise CompileError(
-                    f"gradient parity failed for {name!r}: "
-                    + _grad_gap(got, want, plan.exact)
-                )
-        # The running-stat update, simulated on copies, must land on the
-        # same values the real train-mode forward wrote.
+    def _comparisons(self, plan: GradPlan, got, want) -> list[tuple]:
+        """Every ``(kind, name, plan value, tape value)`` validation judges.
+
+        ``got`` is a plan run and ``want`` a tape reference on the same
+        batch.  The plan's running-stat update is simulated on copies of
+        the live buffers, so it must land where the tape's forward wrote.
+        """
+        loss, logits, grads, stats = got
+        want_loss, want_logits, want_grads, want_buffers = want
+        out = [
+            ("loss", "loss", loss, want_loss),
+            ("logits", "logits", logits, want_logits),
+        ]
+        out += [
+            ("gradient", name, grads.get(name), w)
+            for name, w in want_grads.items()
+        ]
         running = [
             name
             for upd in plan.bn_updates
@@ -221,12 +271,50 @@ class TrainEngine:
         live = dict(self.model.named_buffers())
         buffers = {name: live[name].copy() for name in running}
         _update_running_stats(buffers, plan.bn_updates, stats)
-        for name in running:
-            if not _close(buffers[name], want_buffers[name], plan.exact):
-                raise CompileError(f"running-stat parity failed for {name!r}")
+        out += [
+            ("running-stat", name, buffers[name], want_buffers[name])
+            for name in running
+        ]
+        return out
+
+    def _validate(self, plan: GradPlan, x: np.ndarray, y: np.ndarray) -> None:
+        """Raise :class:`CompileError` unless ``plan`` matches a tape step.
+
+        A fast plan the float32 tape refuses is judged once more, by the
+        same checks and bounds, against a tape step in float64: a ReLU gate
+        whose float32 pre-activation rounds to the other side of zero puts
+        the float32 tape, not the plan, off the gradient.  The plan is
+        accepted only if every check passes against float64.
+        """
+        got = plan.run(x, y)
+        narrow = self._comparisons(plan, got, self._tape_reference(x, y))
+        failure = _first_failure(narrow, plan.exact)
+        if failure is None:
+            return
+        i, reason = failure
+        if plan.exact:
+            raise CompileError(reason)
+        twin = _float64_twin(self.model)
+        wide = self._comparisons(
+            plan, got, self._tape_reference(x.astype(np.float64), y, twin)
+        )
+        wide_failure = _first_failure(wide, exact=False)
+        if wide_failure is not None:
+            raise CompileError(
+                f"{reason}; against a float64 tape step, {wide_failure[1]}"
+            )
+        _, name, value, want32 = narrow[i]
+        observe.event(
+            "trainc.tiebreak",
+            shape=list(x.shape),
+            param=name,
+            float32=_gaps(value, want32),
+            float64=_gaps(value, wide[i][3]),
+        )
 
     def _compile(self, x: np.ndarray, y: np.ndarray) -> GradPlan | None:
         key = (x.shape, x.dtype.str, np.asarray(y).shape)
+        plan = None
         with observe.span(
             "trainc.compile", shape=list(x.shape), exact=self.exact
         ):
@@ -239,6 +327,8 @@ class TrainEngine:
                     "trainc.fallback", shape=list(x.shape), reason=repr(exc)
                 )
                 self._plans[key] = None
+                if plan is not None:  # built, then refused on parity
+                    self._parity_rejected.add(key)
                 return None
         self._plans[key] = plan
         return plan
@@ -265,6 +355,7 @@ class TrainEngine:
         if masks != self._masks:
             if self._masks is not None and self._plans:
                 self._plans.clear()
+                self._parity_rejected.clear()
                 observe.incr("trainc.mask_invalidations")
             self._masks = masks
         x = np.asarray(x)
@@ -283,6 +374,13 @@ class TrainEngine:
         self.optimizer.apply(self._aligned(grads))
         observe.incr("trainc.batches")
         return float(loss), logits
+
+    def new_phase(self) -> None:
+        """Forget parity rejections, so each training phase judges its plans
+        on its own probe batch; untraceable shapes stay on the tape."""
+        for key in self._parity_rejected:
+            del self._plans[key]
+        self._parity_rejected.clear()
 
     def compiled_for(self, x: np.ndarray, y: np.ndarray) -> bool:
         """True if a validated plan exists for this batch's shapes."""
@@ -310,7 +408,8 @@ def train_engine_for(model, loss_fn, optimizer, exact: bool = False) -> TrainEng
     Compiled plans survive across training phases (the prune → retrain
     loop re-enters ``Trainer.train`` with a fresh optimizer each time), so
     the loss/optimizer handles are refreshed on every call while the plan
-    cache is kept; an ``exact`` flag change rebuilds the engine.
+    cache is kept, less the shapes a parity check refused in an earlier
+    phase; an ``exact`` flag change rebuilds the engine.
     """
     if isinstance(model, TrainEngine):
         return model
@@ -322,4 +421,5 @@ def train_engine_for(model, loss_fn, optimizer, exact: bool = False) -> TrainEng
         return engine
     engine.loss_fn = loss_fn
     engine.optimizer = optimizer
+    engine.new_phase()
     return engine

@@ -165,6 +165,32 @@ class TraceReport:
             rollup["latency_p99_s"] = latency["p99"]
         return rollup
 
+    @property
+    def training(self) -> dict[str, float] | None:
+        """Compiled-training rollup: batches on the plan and on the tape,
+        plan compiles, rejections, float64 tie-breaks and mask
+        invalidations (``None`` when the run trained nothing)."""
+        rollup = {
+            "compiled_batches": self.counters.get("trainc.batches", 0),
+            "tape_batches": self.counters.get("trainc.fallback_batches", 0),
+            "plan_compiles": self.span_count("trainc.compile"),
+            "rejections": self.event_counts.get("trainc.fallback", 0),
+            "tiebreaks": self.event_counts.get("trainc.tiebreak", 0),
+            "mask_invalidations": self.counters.get(
+                "trainc.mask_invalidations", 0
+            ),
+        }
+        return rollup if any(rollup.values()) else None
+
+    def span_count(self, name: str) -> int:
+        """How many recorded spans are called ``name``."""
+        stack, count = list(self.roots), 0
+        while stack:
+            node = stack.pop()
+            count += node.name == name
+            stack.extend(node.children)
+        return count
+
     # ------------------------------------------------------------ output
     def to_dict(self) -> dict:
         out: dict[str, Any] = {
@@ -186,6 +212,8 @@ class TraceReport:
             out["queue"] = self.queue
         if self.serve is not None:
             out["serve"] = self.serve
+        if self.training is not None:
+            out["training"] = self.training
         return out
 
     def to_json(self) -> str:
@@ -267,6 +295,17 @@ class TraceReport:
                     f"p99 {1e3 * s['latency_p99_s']:.2f}ms"
                 )
             lines.append(line)
+        if self.training is not None:
+            t = self.training
+            lines.append(
+                "training: "
+                f"{_fmt_num(t['compiled_batches'])} compiled batch(es), "
+                f"{_fmt_num(t['tape_batches'])} on the tape, "
+                f"{_fmt_num(t['plan_compiles'])} plan compile(s), "
+                f"{_fmt_num(t['rejections'])} rejected, "
+                f"{_fmt_num(t['tiebreaks'])} float64 tie-break(s), "
+                f"{_fmt_num(t['mask_invalidations'])} mask invalidation(s)"
+            )
         return "\n".join(lines)
 
 

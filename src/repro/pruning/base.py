@@ -153,7 +153,11 @@ class PruneMethod(abc.ABC):
         if not 0.0 <= target_ratio < 1.0:
             raise ValueError(f"target_ratio must be in [0, 1), got {target_ratio}")
         current = model_prune_ratio(model)
-        if target_ratio < current - 1e-9:
+        # Compared in whole weights: a step rounds its target to a weight
+        # count, so it can overshoot a request by up to half a weight, and
+        # a later request inside that overshoot asks for no un-pruning.
+        total = total_prunable_weights(model)
+        if round(target_ratio * total) < round(current * total):
             raise ValueError(
                 f"target ratio {target_ratio:.3f} below current ratio "
                 f"{current:.3f}; pruning is monotone"

@@ -87,7 +87,6 @@ class TestRejectedPlan:
         """A fast plan whose gradient fails both gates is refused: the step
         runs on the tape, and the fallback event names the parameter and
         the numbers the gates judged."""
-        from repro import observe
         from repro.autograd.tensor import Tensor
         from repro.infer import grad
         from repro.infer.trainengine import _GRAD_RNORM
@@ -97,10 +96,7 @@ class TestRejectedPlan:
         monkeypatch.setitem(
             grad.KTABLE_FAST, "linear_bwd_w", lambda a, p: 2.0 * original(a, p)
         )
-        events = []
-        monkeypatch.setattr(
-            observe, "event", lambda name, **attrs: events.append((name, attrs))
-        )
+        events = capture_events(monkeypatch)
         x, y = batch
         model, twin = make_tiny_cnn(), make_tiny_cnn()
         loss_fn = CrossEntropyLoss()
@@ -123,15 +119,176 @@ class TestRejectedPlan:
 
         [reason] = [a["reason"] for n, a in events if n == "trainc.fallback"]
         assert "gradient parity failed for '10.weight'" in reason
-        match = re.search(
-            r"max abs diff (\S+) > bound (\S+), relative l2 diff (\S+) > ([\d.]+)",
-            reason,
+        assert not [n for n, _ in events if n == "trainc.tiebreak"]
+        # Refused by both judges: the float32 tape, then the float64 one.
+        float32, float64 = reason.split("; against a float64 tape step, ")
+        for judged in (float32, float64):
+            assert "gradient parity failed for '10.weight'" in judged
+            match = re.search(
+                r"max abs diff (\S+) > bound (\S+), "
+                r"relative l2 diff (\S+) > ([\d.]+)",
+                judged,
+            )
+            assert match, judged
+            diff, bound, rel, rnorm = (float(v) for v in match.groups())
+            assert diff > bound
+            assert rel == pytest.approx(1.0, abs=1e-2)  # doubled gradient
+            assert rnorm == _GRAD_RNORM
+
+    def test_plan_refused_only_by_a_wrong_float32_tape_is_accepted(
+        self, batch, monkeypatch
+    ):
+        """The float64 tie-break: a fast plan that fails against the float32
+        tape but passes every check against float64 serves its shape, the
+        ``trainc.tiebreak`` event carries both gaps, and the live model —
+        parameters, ``grad`` slots, buffers — comes out bitwise unchanged
+        and still float32."""
+        from repro.infer import trainengine
+
+        events = capture_events(monkeypatch)
+        corrupt_float32_reference(monkeypatch, "10.weight")
+        twins = spy_on_float64_twin(monkeypatch)
+        x, y = batch
+        model = make_tiny_cnn()
+        prune_half(model)
+        rng = np.random.default_rng(1)
+        for p in model.parameters():
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        state = {k: v.copy() for k, v in model.state_dict().items()}
+        grads = {k: p.grad.copy() for k, p in model.named_parameters()}
+        engines = set(trainengine._TRAIN_ENGINES.keys())
+        engine = TrainEngine(
+            model, CrossEntropyLoss(), SGD(model.parameters(), lr=0.05)
         )
-        assert match, reason
-        diff, bound, rel, rnorm = (float(v) for v in match.groups())
-        assert diff > bound
-        assert rel == pytest.approx(1.0, abs=1e-2)  # doubled gradient
-        assert rnorm == _GRAD_RNORM
+
+        assert engine._compile(x, y) is not None
+        assert engine.compiled_for(x, y)
+        assert not [n for n, _ in events if n == "trainc.fallback"]
+        [tiebreak] = [a for n, a in events if n == "trainc.tiebreak"]
+        assert tiebreak["shape"] == list(x.shape)
+        assert tiebreak["param"] == "10.weight"
+        assert tiebreak["float32"]["max_abs_diff"] == pytest.approx(1.0, abs=1e-3)
+        assert tiebreak["float64"]["max_abs_diff"] < 1e-4
+        assert tiebreak["float64"]["rel_l2_diff"] < 1e-3
+
+        [twin] = twins
+        assert twin is not model
+        assert {p.dtype for p in twin.parameters()} == {np.dtype(np.float64)}
+        assert {b.dtype for _, b in twin.named_buffers()} == {np.dtype(np.float64)}
+        for key, value in model.state_dict().items():
+            assert value.dtype == np.float32, key
+            assert value.tobytes() == state[key].tobytes(), key
+        for key, p in model.named_parameters():
+            assert p.grad.dtype == np.float32, key
+            assert p.grad.tobytes() == grads[key].tobytes(), key
+        assert set(trainengine._TRAIN_ENGINES.keys()) <= engines
+
+    def test_exact_mode_never_runs_the_float64_step(self, batch, monkeypatch):
+        """Exact plans stay bitwise against the float32 tape: a refusal
+        there is final, with no float64 judgment."""
+        events = capture_events(monkeypatch)
+        corrupt_float32_reference(monkeypatch, "10.weight")
+        twins = spy_on_float64_twin(monkeypatch)
+        x, y = batch
+        model = make_tiny_cnn()
+        engine = TrainEngine(
+            model, CrossEntropyLoss(), SGD(model.parameters(), lr=0.05), exact=True
+        )
+        assert engine._compile(x, y) is None
+        assert twins == []
+        [reason] = [a["reason"] for n, a in events if n == "trainc.fallback"]
+        assert "exact mode allows none" in reason
+        assert "float64" not in reason
+
+    def test_parity_refusal_is_rejudged_next_phase(self, batch, monkeypatch):
+        """A parity refusal holds for one training phase: within the phase
+        the shape stays on the tape, and the next ``train_engine_for`` call
+        judges it afresh on that phase's probe batch."""
+        from repro.infer import grad, train_engine_for
+
+        monkeypatch.setenv("REPRO_TRAINC", "1")
+        original = grad.KTABLE_FAST["linear_bwd_w"]
+        monkeypatch.setitem(
+            grad.KTABLE_FAST, "linear_bwd_w", lambda a, p: 2.0 * original(a, p)
+        )
+        x, y = batch
+        model = make_tiny_cnn()
+        loss_fn = CrossEntropyLoss()
+        engine = train_engine_for(model, loss_fn, SGD(model.parameters(), lr=0.05))
+        engine.step(x, y)
+        assert not engine.compiled_for(x, y)
+        monkeypatch.setitem(grad.KTABLE_FAST, "linear_bwd_w", original)
+        engine.step(x, y)
+        assert not engine.compiled_for(x, y)  # same phase: still refused
+
+        again = train_engine_for(model, loss_fn, SGD(model.parameters(), lr=0.05))
+        assert again is engine
+        again.step(x, y)
+        assert again.compiled_for(x, y)
+
+    def test_trace_refusal_lasts_for_good(self, batch, monkeypatch):
+        """An untraceable model is not re-traced phase after phase."""
+        from repro.infer import TraceError, train_engine_for, trainengine
+
+        monkeypatch.setenv("REPRO_TRAINC", "1")
+        calls = []
+
+        def untraceable(*args, **kwargs):
+            calls.append(args)
+            raise TraceError("untraceable")
+
+        monkeypatch.setattr(trainengine, "trace_training", untraceable)
+        x, y = batch
+        model = make_tiny_cnn()
+        loss_fn = CrossEntropyLoss()
+        for _ in range(3):
+            engine = train_engine_for(
+                model, loss_fn, SGD(model.parameters(), lr=0.05)
+            )
+            engine.step(x, y)
+            assert not engine.compiled_for(x, y)
+        assert len(calls) == 1
+
+
+def capture_events(monkeypatch) -> list:
+    """Record every ``observe.event`` as ``(name, attrs)``."""
+    from repro import observe
+
+    events = []
+    monkeypatch.setattr(
+        observe, "event", lambda name, **attrs: events.append((name, attrs))
+    )
+    return events
+
+
+def corrupt_float32_reference(monkeypatch, param: str) -> None:
+    """Offset one gradient of the float32 tape reference by 1.0, leaving the
+    float64 reference exact: a plan that is right then disagrees only with
+    a wrong float32 tape."""
+    original = TrainEngine._tape_reference
+
+    def reference(self, x, y, model=None):
+        loss, logits, grads, buffers = original(self, x, y, model)
+        if x.dtype == np.float32:
+            grads = {**grads, param: grads[param] + np.float32(1.0)}
+        return loss, logits, grads, buffers
+
+    monkeypatch.setattr(TrainEngine, "_tape_reference", reference)
+
+
+def spy_on_float64_twin(monkeypatch) -> list:
+    """Record every float64 model copy validation makes."""
+    from repro.infer import trainengine
+
+    original = trainengine._float64_twin
+    twins = []
+
+    def twin(model):
+        twins.append(original(model))
+        return twins[-1]
+
+    monkeypatch.setattr(trainengine, "_float64_twin", twin)
+    return twins
 
 
 class TestFusedConvBnReluGradients:

@@ -62,6 +62,51 @@ class TestReportStructure:
         assert [r.name for r in report.roots] == ["lost"]
 
 
+class TestTrainingRollup:
+    def test_counts_batches_compiles_rejections_and_tiebreaks(self, tmp_path):
+        events = [
+            {"type": "span", "name": "train", "id": "1.1", "parent": None,
+             "start": 0.0, "seconds": 2.0, "pid": 1},
+            {"type": "span", "name": "trainc.compile", "id": "1.2",
+             "parent": "1.1", "start": 0.1, "seconds": 0.3, "pid": 1},
+            {"type": "span", "name": "retrain", "id": "1.3", "parent": None,
+             "start": 2.0, "seconds": 1.0, "pid": 1},
+            {"type": "span", "name": "trainc.compile", "id": "1.4",
+             "parent": "1.3", "start": 2.1, "seconds": 0.4, "pid": 1},
+            {"type": "span", "name": "trainc.compile", "id": "1.5",
+             "parent": "1.3", "start": 2.6, "seconds": 0.2, "pid": 1},
+            {"type": "event", "name": "trainc.tiebreak", "pid": 1},
+            {"type": "event", "name": "trainc.fallback", "pid": 1},
+            {"type": "counter", "name": "trainc.batches", "value": 60, "pid": 1},
+            {"type": "counter", "name": "trainc.batches", "value": 8, "pid": 1},
+            {"type": "counter", "name": "trainc.fallback_batches", "value": 4,
+             "pid": 1},
+            {"type": "counter", "name": "trainc.mask_invalidations",
+             "value": 1, "pid": 1},
+        ]
+        report = build_report(tmp_path / "x.jsonl", events)
+        assert report.training == {
+            "compiled_batches": 68,
+            "tape_batches": 4,
+            "plan_compiles": 3,
+            "rejections": 1,
+            "tiebreaks": 1,
+            "mask_invalidations": 1,
+        }
+        assert report.to_dict()["training"] == report.training
+        assert (
+            "training: 68 compiled batch(es), 4 on the tape, 3 plan compile(s), "
+            "1 rejected, 1 float64 tie-break(s), 1 mask invalidation(s)"
+        ) in report.render()
+
+    def test_none_when_nothing_trained(self, tmp_path):
+        path = make_ledger(tmp_path, lambda: observe.incr("zoo.cache_hit"))
+        report = load_report(path)
+        assert report.training is None
+        assert "training" not in report.to_dict()
+        assert "training:" not in report.render()
+
+
 class TestRender:
     def test_render_contains_tree_and_metrics(self, tmp_path):
         def body():

@@ -56,6 +56,15 @@ class TestWT:
             # no weight revived
             assert not ((masks_30[n] == 0) & (l.weight_mask == 1)).any()
 
+    def test_target_inside_the_rounding_overshoot_is_accepted(self):
+        """0.95 of 2,424 weights rounds up to 2,303 (ratio 0.95008), so a
+        following request for 0.95 names the same weight count."""
+        model = make_tiny_cnn()
+        wt = WeightThresholding()
+        first = wt.prune(model, 0.9499999999999998)
+        assert first > 0.95
+        assert wt.prune(model, 0.95) == first
+
     def test_decreasing_target_raises(self):
         model = make_tiny_cnn()
         wt = WeightThresholding()
