@@ -2,16 +2,28 @@
 
 :func:`engine_for` is the seam every eval-heavy consumer goes through.
 It returns a cached :class:`InferenceEngine` for a model; the engine
-traces the model's eval forward once per input shape, compiles it into a
-flat numpy plan (BN folded, masked weights densified), and falls back to
-the plain ``Module`` forward whenever the model cannot be traced, a
-compiled plan fails its self-check, or ``REPRO_INFER=0`` opts out.
+compiles the model's eval forward into a flat numpy plan per input shape
+(BN folded, masked weights densified), and falls back to the plain
+``Module`` forward whenever the model cannot be traced, a compiled plan
+fails its self-check, or ``REPRO_INFER=0`` opts out.
+
+Plans are shared across model objects.  A process-wide LRU of *plan
+templates* holds, per (architecture, input shape, dtype, ``fold_bn``), the
+validated full-shape trace; a new object of the same architecture traces
+only a two-row identity sample, binds the template's graph to its own
+state (leaves resolve by name) and checks that one run against its own
+module forward.  Tracing and the row-independence checks are paid once per
+architecture and shape per process, not once per object.
 
 Correctness machinery:
 
-- every compiled plan is validated at compile time against the module's
-  own forward (trace-sample parity + an independent probe batch, plus a
-  row-independence check that licenses batch padding);
+- a full compile validates the plan against the module's own forward
+  (trace-sample parity, plus a row-independence check that licenses batch
+  padding) and only then becomes a template;
+- a shared bind is checked against the binding object's own module output
+  on the identity rows; on a parity failure it falls back to a full
+  compile for that object (``infer.share_rejected``), so no object is
+  served a number its own forward was not checked against;
 - constants are refreshed whenever the model's *state signature* — an
   adler32 over every parameter and buffer — changes, so in-place SGD
   updates and new masks invalidate the cache without version counters;
@@ -21,17 +33,20 @@ Correctness machinery:
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 import weakref
 import zlib
+from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import observe
 from repro.autograd.tensor import Tensor, no_grad
 from repro.infer.plan import CompiledPlan, CompileError
-from repro.infer.trace import TraceError, trace
+from repro.infer.trace import Graph, TraceError, trace
 from repro.nn.module import Module
 
 ENV_VAR = "REPRO_INFER"
@@ -44,6 +59,10 @@ _PARITY_ATOL = 1e-5
 # max|got - want| <= atol + rtol * max|want|.
 _PARITY_RTOL = 1e-5
 _AUTOTUNE_CANDIDATES = (32, 64, 128, 256, 512)
+# Plan templates kept per process (architectures x input shapes), and the
+# leading probe rows a model object traces to find and check its template.
+_TEMPLATE_CAPACITY = 16
+_IDENTITY_ROWS = 2
 
 
 def _assert_parity(got: np.ndarray, want: np.ndarray, what: str) -> None:
@@ -71,6 +90,95 @@ def _state_signature(model: Module) -> tuple:
     for name, b in model.named_buffers():
         parts.append((name, zlib.adler32(np.ascontiguousarray(b).tobytes())))
     return tuple(parts)
+
+
+@dataclass
+class _Template:
+    """A validated eval plan graph, shareable by any object it identifies.
+
+    An entry exists only for a graph whose full compile passed the
+    self-check and both row-independence checks.  ``identity`` is the
+    trace of the same model on the probe's leading rows; an object whose
+    own identity trace equals it exactly binds ``graph``.
+    """
+
+    identity: Graph
+    graph: Graph
+
+
+# (probe shape, dtype, fold_bn, identity digest) -> template; LRU order.
+_TEMPLATES: "OrderedDict[tuple, _Template]" = OrderedDict()
+
+
+def _digest(graph: Graph) -> str:
+    """Hash of a traced graph: ops, wiring, params, shapes, constant bytes."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(repr((graph.input, graph.output)).encode())
+    for node, shape in zip(graph.nodes, graph.shapes):
+        h.update(repr((node.op, node.inputs, shape)).encode())
+        for name in sorted(node.params):
+            value = node.params[name]
+            if isinstance(value, np.ndarray):
+                h.update(repr((name, value.dtype.str, value.shape)).encode())
+                h.update(np.ascontiguousarray(value).tobytes())
+            else:
+                h.update(repr((name, value)).encode())
+    return h.hexdigest()
+
+
+def _same(a, b) -> bool:
+    """Exact equality of traced params (arrays by dtype, shape and bytes)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (
+            isinstance(a, np.ndarray)
+            and isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def _same_graph(a: Graph, b: Graph) -> bool:
+    """Exact structural equality, so a digest collision cannot share a plan."""
+    return (
+        a.input == b.input
+        and a.output == b.output
+        and _same(a.shapes, b.shapes)
+        and len(a.nodes) == len(b.nodes)
+        and all(
+            x.op == y.op and x.inputs == y.inputs and _same(x.params, y.params)
+            for x, y in zip(a.nodes, b.nodes)
+        )
+    )
+
+
+def _check_row_independence(
+    plan: CompiledPlan, probe: np.ndarray, got: np.ndarray
+) -> None:
+    """Row independence licenses tail padding *and* batch coalescing.
+
+    Perturbing every trailing row must leave the leading row's output
+    bitwise unchanged, and vice versa (any batch-mixing op would couple
+    the rows).  The second direction matters to the serving layer, which
+    places a request's rows in the middle of a coalesced batch.
+    """
+    if probe.shape[0] < 2:
+        return
+    perturbed = probe.copy()
+    perturbed[1:] = probe[1:] * -3.0 + 1.0
+    if not np.array_equal(plan.run(perturbed)[0], got[0]):
+        raise CompileError("forward mixes batch rows; padding is unsafe")
+    perturbed = probe.copy()
+    perturbed[:-1] = probe[:-1] * -3.0 + 1.0
+    if not np.array_equal(plan.run(perturbed)[-1], got[-1]):
+        raise CompileError("forward mixes batch rows; coalescing is unsafe")
 
 
 def _coerce_batch(images: np.ndarray) -> np.ndarray:
@@ -147,14 +255,45 @@ class InferenceEngine:
 
     # -------------------------------------------------------------- compile
 
-    def _compile(self, probe: np.ndarray) -> CompiledPlan | None:
-        """Trace + compile for ``probe``'s exact shape; None on any mismatch.
+    def _compile(
+        self, probe: np.ndarray
+    ) -> tuple[CompiledPlan | None, np.ndarray | None]:
+        """A validated plan for ``probe``'s exact shape, shared or compiled.
+
+        Returns ``(plan, out)``, where ``out`` is the plan's validated
+        output on ``probe`` (the caller serves it as that chunk's logits),
+        or ``(None, None)`` when the shape is pinned to the module forward.
 
         Plans are shape-specific (traced ``reshape``/``getitem`` bake in
         the batch dimension), which is why :meth:`logits` pads chunks to a
         small set of power-of-two sizes before coming here.
         """
         key = (probe.shape, probe.dtype.str)
+        rows = min(_IDENTITY_ROWS, probe.shape[0])
+        try:
+            identity = trace(self.model, probe[:rows])
+        except TraceError as exc:
+            return self._fall_back(key, exc)
+        template_key = key + (self.fold_bn, _digest(identity))
+        template = _TEMPLATES.get(template_key)
+        if template is not None and _same_graph(template.identity, identity):
+            _TEMPLATES.move_to_end(template_key)
+            try:
+                plan = CompiledPlan(template.graph, fold_bn=self.fold_bn)
+                plan.refresh(self.model)
+                got = plan.run(probe)
+                # The template's row-independence verdict licenses checking
+                # only the identity rows against this object's own forward.
+                _assert_parity(
+                    got[:rows], identity.sample_output, "shared-plan check"
+                )
+            except (CompileError, AssertionError) as exc:
+                observe.event(
+                    "infer.share_rejected", shape=list(probe.shape), reason=repr(exc)
+                )
+            else:
+                observe.incr("infer.plan_shared")
+                return self._adopt(key, plan, got)
         with observe.span(
             "infer.compile", shape=list(probe.shape), fold_bn=self.fold_bn
         ):
@@ -162,44 +301,39 @@ class InferenceEngine:
                 graph = trace(self.model, probe)
                 plan = CompiledPlan(graph, fold_bn=self.fold_bn)
                 plan.refresh(self.model)
-                plan.signature = self._signature
                 # Kernel exactness + dataflow: re-running the probe through
                 # the compiled kernels must reproduce the module's own
                 # output recorded during tracing.
                 got = plan.run(probe)
                 _assert_parity(got, graph.sample_output, "compile self-check")
-                # Row independence licenses tail padding *and* batch
-                # coalescing: perturbing every trailing row must leave the
-                # leading row's output bitwise unchanged, and vice versa
-                # (any batch-mixing op would couple the rows).  The second
-                # direction matters to the serving layer, which places a
-                # request's rows in the middle of a coalesced batch.
-                if probe.shape[0] > 1:
-                    perturbed = probe.copy()
-                    perturbed[1:] = probe[1:] * -3.0 + 1.0
-                    if not np.array_equal(plan.run(perturbed)[0], got[0]):
-                        raise CompileError(
-                            "forward mixes batch rows; padding is unsafe"
-                        )
-                    perturbed = probe.copy()
-                    perturbed[:-1] = probe[:-1] * -3.0 + 1.0
-                    if not np.array_equal(plan.run(perturbed)[-1], got[-1]):
-                        raise CompileError(
-                            "forward mixes batch rows; coalescing is unsafe"
-                        )
+                _check_row_independence(plan, probe, got)
             except (TraceError, CompileError, AssertionError) as exc:
-                observe.event(
-                    "infer.fallback", shape=list(probe.shape), reason=repr(exc)
-                )
-                self._plans[key] = None
-                return None
-        self._plans[key] = plan
-        return plan
+                return self._fall_back(key, exc)
+        _TEMPLATES[template_key] = _Template(identity, graph)
+        _TEMPLATES.move_to_end(template_key)
+        while len(_TEMPLATES) > _TEMPLATE_CAPACITY:
+            _TEMPLATES.popitem(last=False)
+        return self._adopt(key, plan, got)
 
-    def _plan_for(self, chunk: np.ndarray) -> CompiledPlan | None:
+    def _adopt(self, key: tuple, plan: CompiledPlan, got: np.ndarray) -> tuple:
+        plan.signature = self._signature
+        self._plans[key] = plan
+        return plan, got
+
+    def _fall_back(self, key: tuple, exc: Exception) -> tuple[None, None]:
+        observe.event("infer.fallback", shape=list(key[0]), reason=repr(exc))
+        self._plans[key] = None
+        return None, None
+
+    def _plan_for(
+        self, chunk: np.ndarray
+    ) -> tuple[CompiledPlan | None, np.ndarray | None]:
+        """``(plan, out)`` for ``chunk``; ``out`` is set only right after a
+        compile or bind, whose validation run already produced it."""
         key = (chunk.shape, chunk.dtype.str)
+        out = None
         if key not in self._plans:
-            plan = self._compile(chunk)
+            plan, out = self._compile(chunk)
         else:
             plan = self._plans[key]
             if plan is not None and plan.signature != self._signature:
@@ -209,7 +343,7 @@ class InferenceEngine:
         hook = self.plan_used_hook
         if plan is not None and hook is not None:
             hook(self, key, plan)
-        return plan
+        return plan, out
 
     def _chunk_rows(self, n: int, batch_size: int) -> int:
         """Rows the padded chunk will occupy under this engine's pad policy."""
@@ -257,9 +391,11 @@ class InferenceEngine:
                     padded[: chunk.shape[0]] = chunk
                 else:
                     padded = chunk
-                plan = self._plan_for(padded)
+                plan, out = self._plan_for(padded)
             if plan is not None:
-                outputs.append(plan.run(padded)[: chunk.shape[0]])
+                if out is None:
+                    out = plan.run(padded)
+                outputs.append(out[: chunk.shape[0]])
                 observe.incr("infer.batches")
             else:
                 outputs.append(self._module_logits(chunk))
@@ -341,9 +477,10 @@ class InferenceEngine:
     def evict_plan(self, key: tuple) -> bool:
         """Drop the compiled plan under ``key`` (returns whether one existed).
 
-        The next batch of that shape recompiles from scratch; fallback
-        markers are left in place so a known-untraceable shape never
-        re-attempts compilation because of memory pressure.
+        The next batch of that shape binds the plan again (through the
+        process's plan templates when one still matches); fallback markers
+        are left in place so a known-untraceable shape never re-attempts
+        compilation because of memory pressure.
         """
         if self._plans.get(key) is None:
             return False

@@ -60,6 +60,8 @@ class Graph:
     input: int
     output: int
     sample_output: np.ndarray  # module output on the traced sample
+    # Traced output shape per node.
+    shapes: list[tuple[int, ...] | None] = field(default_factory=list)
 
 
 @dataclass
@@ -451,7 +453,7 @@ def trace(model: Module, sample: np.ndarray) -> Graph:
     """
     tracer = _Tracer(model)
     inp = Tensor(sample)
-    tracer.bind(inp, tracer.emit("input"))
+    tracer.bind(inp, tracer.emit("input", shape=inp.shape))
     was_training = model.training
     model.eval()
     try:
@@ -469,6 +471,7 @@ def trace(model: Module, sample: np.ndarray) -> Graph:
         input=tracer.var_of[id(inp)],
         output=out_index,
         sample_output=out.data.copy(),
+        shapes=tracer.shapes,
     )
 
 

@@ -182,6 +182,22 @@ class TraceReport:
         }
         return rollup if any(rollup.values()) else None
 
+    @property
+    def inference(self) -> dict[str, float] | None:
+        """Compiled-eval rollup: batches on a plan and on the module, full
+        plan compiles, template binds and their rejections, constant
+        refreshes and fallbacks (``None`` when nothing was evaluated)."""
+        rollup = {
+            "compiled_batches": self.counters.get("infer.batches", 0),
+            "fallback_batches": self.counters.get("infer.fallback_batches", 0),
+            "full_compiles": self.span_count("infer.compile"),
+            "shared_binds": self.counters.get("infer.plan_shared", 0),
+            "share_rejections": self.event_counts.get("infer.share_rejected", 0),
+            "refreshes": self.counters.get("infer.refreshes", 0),
+            "fallbacks": self.event_counts.get("infer.fallback", 0),
+        }
+        return rollup if any(rollup.values()) else None
+
     def span_count(self, name: str) -> int:
         """How many recorded spans are called ``name``."""
         stack, count = list(self.roots), 0
@@ -214,6 +230,8 @@ class TraceReport:
             out["serve"] = self.serve
         if self.training is not None:
             out["training"] = self.training
+        if self.inference is not None:
+            out["inference"] = self.inference
         return out
 
     def to_json(self) -> str:
@@ -305,6 +323,18 @@ class TraceReport:
                 f"{_fmt_num(t['rejections'])} rejected, "
                 f"{_fmt_num(t['tiebreaks'])} float64 tie-break(s), "
                 f"{_fmt_num(t['mask_invalidations'])} mask invalidation(s)"
+            )
+        if self.inference is not None:
+            i = self.inference
+            lines.append(
+                "inference: "
+                f"{_fmt_num(i['compiled_batches'])} compiled batch(es), "
+                f"{_fmt_num(i['fallback_batches'])} on the module, "
+                f"{_fmt_num(i['full_compiles'])} full compile(s), "
+                f"{_fmt_num(i['shared_binds'])} shared bind(s), "
+                f"{_fmt_num(i['share_rejections'])} share rejection(s), "
+                f"{_fmt_num(i['refreshes'])} refresh(es), "
+                f"{_fmt_num(i['fallbacks'])} fallback(s)"
             )
         return "\n".join(lines)
 

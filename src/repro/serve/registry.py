@@ -6,7 +6,8 @@ A serving process holds many variants of the paper's networks at once —
 resident state (densified masked weights, folded BN constants), so the
 registry tracks every plan that serves traffic in one recency list and
 evicts least-recently-used plans whenever their total constant bytes
-exceed the configured budget.  Evicted shapes recompile on next use;
+exceed the configured budget.  Evicted shapes re-bind on next use
+(through the engine's plan templates, or a fresh compile);
 staleness is *not* the LRU's problem — the engine's adler32 state
 signature already re-densifies a plan whenever the model's weights
 change (``load_state_dict``, in-place SGD drift).

@@ -20,10 +20,20 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(pytest.mark.tier1)
 
 from repro import data, models, nn
+from repro.infer import engine as infer_engine
 from repro.data.datasets import TaskSuite
 from repro.data.synthetic import ClassificationTaskConfig
 from repro.optim import MultiStepLR
 from repro.training import TrainConfig, Trainer
+
+
+@pytest.fixture(autouse=True)
+def _fresh_plan_templates():
+    """Start and end every test with no shared eval-plan templates, so one
+    test's validated template cannot mask another test's compile failure."""
+    infer_engine._TEMPLATES.clear()
+    yield
+    infer_engine._TEMPLATES.clear()
 
 
 @pytest.fixture

@@ -107,6 +107,51 @@ class TestTrainingRollup:
         assert "training:" not in report.render()
 
 
+class TestInferenceRollup:
+    def test_counts_batches_compiles_binds_and_rejections(self, tmp_path):
+        events = [
+            {"type": "span", "name": "eval_cell", "id": "1.1", "parent": None,
+             "start": 0.0, "seconds": 1.0, "pid": 1},
+            {"type": "span", "name": "infer.compile", "id": "1.2",
+             "parent": "1.1", "start": 0.1, "seconds": 0.3, "pid": 1},
+            {"type": "span", "name": "eval_cell", "id": "1.3", "parent": None,
+             "start": 1.0, "seconds": 0.5, "pid": 1},
+            {"type": "span", "name": "infer.compile", "id": "1.4",
+             "parent": "1.3", "start": 1.1, "seconds": 0.3, "pid": 1},
+            {"type": "counter", "name": "infer.plan_shared", "value": 1, "pid": 1},
+            {"type": "counter", "name": "infer.plan_shared", "value": 1, "pid": 1},
+            {"type": "event", "name": "infer.share_rejected", "pid": 1},
+            {"type": "event", "name": "infer.fallback", "pid": 1},
+            {"type": "counter", "name": "infer.batches", "value": 12, "pid": 1},
+            {"type": "counter", "name": "infer.fallback_batches", "value": 2,
+             "pid": 1},
+            {"type": "counter", "name": "infer.refreshes", "value": 5, "pid": 1},
+        ]
+        report = build_report(tmp_path / "x.jsonl", events)
+        assert report.inference == {
+            "compiled_batches": 12,
+            "fallback_batches": 2,
+            "full_compiles": 2,
+            "shared_binds": 2,
+            "share_rejections": 1,
+            "refreshes": 5,
+            "fallbacks": 1,
+        }
+        assert report.to_dict()["inference"] == report.inference
+        assert (
+            "inference: 12 compiled batch(es), 2 on the module, "
+            "2 full compile(s), 2 shared bind(s), 1 share rejection(s), "
+            "5 refresh(es), 1 fallback(s)"
+        ) in report.render()
+
+    def test_none_when_nothing_evaluated(self, tmp_path):
+        path = make_ledger(tmp_path, lambda: observe.incr("zoo.cache_hit"))
+        report = load_report(path)
+        assert report.inference is None
+        assert "inference" not in report.to_dict()
+        assert "inference:" not in report.render()
+
+
 class TestRender:
     def test_render_contains_tree_and_metrics(self, tmp_path):
         def body():
